@@ -65,6 +65,13 @@ def validate_mask(mask: int, n: int) -> None:
         raise ValueError(f"outcome mask {mask} has bits outside 0..{n - 1}")
 
 
+def membership(n: int) -> np.ndarray:
+    """Boolean (2**n, n) matrix whose entry [m, i] is True when bit i of m is set."""
+    _check_n(n)
+    masks = np.arange(1 << n, dtype=np.uint32)
+    return ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
+
+
 # ---------------------------------------------------------------------------
 # Cost models
 # ---------------------------------------------------------------------------
@@ -217,9 +224,13 @@ class CostModel:
         return np.array([c.marginal(x) for c, x in zip(self.agents, p)])
 
     def inverse_marginal_vec(self, r: np.ndarray) -> np.ndarray:
+        """Per-agent inverse marginals of r, shaped (n,) or a (k, n) batch."""
+        r = np.asarray(r, dtype=float)
         if self._power_scale is not None:
-            return (np.asarray(r, dtype=float) / self._power_scale) ** (1.0 / (self._power_exp - 1.0))
-        return np.array([c.inverse_marginal(x) for c, x in zip(self.agents, r)])
+            return (r / self._power_scale) ** (1.0 / (self._power_exp - 1.0))
+        rows = [[c.inverse_marginal(x) for c, x in zip(self.agents, row)]
+                for row in r.reshape(-1, self.n)]
+        return np.array(rows).reshape(r.shape)
 
     def marginal_at_one(self) -> np.ndarray:
         return np.array([c.marginal(1.0) for c in self.agents])
@@ -294,13 +305,16 @@ def outcome_probabilities(p: ProfileLike) -> np.ndarray:
     """Probability of every outcome mask under independent successes.
 
     Returns an array of length 2**n with entry m equal to the probability
-    that the set of successful agents is exactly the agents in mask m.
+    that the set of successful agents is exactly the agents in mask m. A
+    (k, n) batch of profiles gives one such row per profile, shape (k, 2**n).
     """
     arr = p.as_array() if isinstance(p, Profile) else np.asarray(p, dtype=float)
-    _check_n(arr.size)
-    probs = np.ones(1)
-    for pi in arr:
-        probs = np.concatenate([probs * (1.0 - pi), probs * pi])
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"expected a profile or a (k, n) batch, got shape {arr.shape}")
+    _check_n(arr.shape[-1])
+    probs = np.ones(arr.shape[:-1] + (1,))
+    for pi in arr.T[..., None]:
+        probs = np.concatenate([probs * (1.0 - pi), probs * pi], axis=-1)
     return probs
 
 
@@ -389,11 +403,10 @@ def zero_contract(n: int, budget: float = 1.0) -> Contract:
 
 def equal_split(n: int, budget: float = 1.0) -> Contract:
     """Split the whole budget equally among the successful agents."""
-    table = np.zeros((1 << n, n))
-    for mask in range(1, 1 << n):
-        members = mask_agents(mask)
-        table[mask, list(members)] = 1.0 / len(members)
-    return Contract(n, table, budget)
+    member = membership(n)
+    counts = member.sum(axis=1)
+    counts[0] = 1  # the empty outcome pays nobody
+    return Contract(n, member / counts[:, None], budget)
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +481,18 @@ def expand_luce(spec: LuceSpec, n: int, budget: float = 1.0) -> Contract:
     """
     if spec.n != n:
         raise ValueError(f"spec covers {spec.n} agents, expected {n}")
-    block_masks = [subset_mask(block, n) for block in spec.partition]
+    member = membership(n)
     w = np.array(spec.weights)
     table = np.zeros((1 << n, n))
-    for mask in range(1, 1 << n):
-        for bmask in block_masks:
-            top = mask & bmask
-            if top:
-                members = list(mask_agents(top))
-                table[mask, members] = w[members] / w[members].sum()
-                break
+    unclaimed = np.ones(1 << n, dtype=bool)
+    # Tiers in priority order; each claims the unclaimed outcomes it meets.
+    for block in spec.partition:
+        cols = list(block)
+        hit = member[:, cols]
+        rows = np.flatnonzero(unclaimed & hit.any(axis=1))
+        shares = hit[rows] * w[cols]
+        table[rows[:, None], cols] = shares / shares.sum(axis=1, keepdims=True)
+        unclaimed[rows] = False
     return Contract(n, table, budget)
 
 
@@ -495,11 +510,7 @@ def piece_rate(q: ProfileLike, costs: CostModel, unconstrained: bool = False) ->
     prof = as_profile(q, costs.n)
     n = prof.n
     rates = np.array([costs.marginal(i, prof[i]) for i in range(n)])
-    table = np.zeros((1 << n, n))
-    for mask in range(1, 1 << n):
-        for i in mask_agents(mask):
-            table[mask, i] = rates[i]
-    return Contract(n, table, budget=1.0, unconstrained=unconstrained)
+    return Contract(n, membership(n) * rates, budget=1.0, unconstrained=unconstrained)
 
 
 def bonus_pool(q: ProfileLike, costs: CostModel) -> Contract:
@@ -594,7 +605,7 @@ def classify(f: Contract, tol: float = CLASSIFY_TOL) -> ContractClass:
     against the table within `tol`.
     """
     n = f.n
-    in_outcome = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    in_outcome = membership(n)
     is_fgn = bool(np.max(np.abs(f.table[~in_outcome])) <= tol) if (~in_outcome).any() else True
     sums = f.table.sum(axis=1)
     is_sge = is_fgn and bool(np.max(np.abs(sums[1:] - 1.0)) <= tol)

@@ -20,6 +20,7 @@ from .core import (
     Profile,
     ProfileLike,
     as_profile,
+    membership,
     outcome_probabilities,
 )
 from .errors import NotAdmissible, NotAnEquilibrium
@@ -51,14 +52,10 @@ class _Workspace:
     """Per-contract arrays reused across best-response sweeps."""
 
     def __init__(self, f: Contract):
-        n = f.n
-        masks = np.arange(1 << n, dtype=np.uint32)
-        member = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-        self.n = n
+        self.n = f.n
         self.budget = f.budget
         self.table = f.table
-        self.in_table = f.table * member          # shares paid when i succeeded
-        self.out_table = f.table * (1.0 - member)  # shares paid when i failed
+        self.in_table = f.table * membership(f.n)  # shares paid when i succeeded
         self.c_at_one: np.ndarray | None = None
 
 
@@ -70,17 +67,22 @@ def _forced_conditional(table_col: np.ndarray, p: np.ndarray, i: int, succeed: b
 
 
 def _success_conditionals(ws: _Workspace, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-agent E[f_i | i in S] and E[f_i | i not in S] in share units."""
+    """Per-agent E[f_i | i in S] and E[f_i | i not in S] in share units.
+
+    p is one profile (n,) or a batch (k, n); the results have its shape.
+    """
     probs = outcome_probabilities(p)
     ein = probs @ ws.in_table
-    eout = probs @ ws.out_table
-    cond_in = np.empty(ws.n)
+    eout = probs @ ws.table - ein
+    cond_in = np.empty_like(ein)
     nz = p > 0.0
     # Every term of ein carries the factor p_i exactly once, so the division
     # is clean; only p_i = 0 needs the forced-outcome fallback.
     cond_in[nz] = ein[nz] / p[nz]
-    for i in np.nonzero(~nz)[0]:
-        cond_in[i] = _forced_conditional(ws.table[:, i], p, int(i), succeed=True)
+    if not nz.all():
+        for *row, i in np.argwhere(~nz):
+            cond_in[(*row, i)] = _forced_conditional(
+                ws.table[:, i], p[tuple(row)], int(i), succeed=True)
     cond_out = eout / (1.0 - p)
     return cond_in, cond_out
 
@@ -91,13 +93,15 @@ def _marginal_gains(ws: _Workspace, p: np.ndarray) -> np.ndarray:
 
 
 def _best_responses(ws: _Workspace, p: np.ndarray, costs: CostModel) -> np.ndarray:
+    """Simultaneous best responses to one profile (n,) or each row of a (k, n) batch."""
     r = np.maximum(_marginal_gains(ws, p), 0.0)
     if ws.c_at_one is None:
         ws.c_at_one = costs.marginal_at_one()
     if np.any(r >= ws.c_at_one):
-        i = int(np.argmax(r - ws.c_at_one))
+        at = np.unravel_index(np.argmax(r - ws.c_at_one), r.shape)
+        i = int(at[-1])
         raise NotAdmissible(
-            f"agent {i}: marginal gain {r[i]:.6g} reaches c'(1) = {ws.c_at_one[i]:.6g}; "
+            f"agent {i}: marginal gain {r[at]:.6g} reaches c'(1) = {ws.c_at_one[i]:.6g}; "
             "small-budget admissibility violated"
         )
     return costs.inverse_marginal_vec(r)
@@ -152,23 +156,50 @@ def _solo_start(ws: _Workspace, costs: CostModel) -> np.ndarray:
     return costs.inverse_marginal_vec(r0)
 
 
-def _iterate(ws: _Workspace, costs: CostModel, start: np.ndarray,
-             opts: SolverOptions) -> tuple[np.ndarray, float, int, bool]:
-    p = start.copy()
-    damping = opts.damping
-    history: list[float] = []
+def _iterate(ws: _Workspace, costs: CostModel, starts: np.ndarray,
+             opts: SolverOptions) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Damped best-response iteration from each row of `starts`, as one batch.
+
+    Every start keeps its own damping, oscillation window and stop test; a
+    start leaves the batch once it converges. Returns per-start profiles,
+    final residuals, iteration counts and converged flags.
+    """
+    k = starts.shape[0]
+    profiles = np.empty_like(starts)
+    residuals = np.zeros(k)
+    iterations = np.full(k, opts.max_iterations)
+    converged = np.zeros(k, dtype=bool)
+    active = np.arange(k)
+    p = starts.copy()
+    damping = np.full(k, opts.damping)
+    # Residuals of the last _OSCILLATION_WINDOW sweeps, oldest first. All
+    # starts begin together, so the window fills at the same sweep for all.
+    window = np.zeros((k, _OSCILLATION_WINDOW))
     for it in range(1, opts.max_iterations + 1):
         b = _best_responses(ws, p, costs)
-        residual = float(np.max(np.abs(b - p)))
-        if residual <= opts.tolerance:
-            return b, residual, it, True
-        history.append(residual)
-        if len(history) > _OSCILLATION_WINDOW:
-            history.pop(0)
-            if damping > 0.5 and any(y > x for x, y in zip(history, history[1:])):
-                damping = 0.5
-        p = (1.0 - damping) * p + damping * b
-    return p, residual, opts.max_iterations, False
+        residual = np.max(np.abs(b - p), axis=1)
+        done = residual <= opts.tolerance
+        if done.any():
+            rows = active[done]
+            profiles[rows] = b[done]
+            residuals[rows] = residual[done]
+            iterations[rows] = it
+            converged[rows] = True
+            keep = ~done
+            if not keep.any():
+                return profiles, residuals, iterations, converged
+            active, p, b, residual = active[keep], p[keep], b[keep], residual[keep]
+            damping, window = damping[keep], window[keep]
+        window[:, :-1] = window[:, 1:]
+        window[:, -1] = residual
+        if it > _OSCILLATION_WINDOW:
+            rising = np.any(window[:, 1:] > window[:, :-1], axis=1)
+            damping[rising & (damping > 0.5)] = 0.5
+        d = damping[:, None]
+        p = (1.0 - d) * p + d * b
+    profiles[active] = p
+    residuals[active] = residual
+    return profiles, residuals, iterations, converged
 
 
 def find_equilibria(f: Contract, costs: CostModel, options: SolverOptions | None = None,
@@ -177,11 +208,14 @@ def find_equilibria(f: Contract, costs: CostModel, options: SolverOptions | None
 
     Starts from the origin, each agent's solo optimum, and seeded random
     profiles (`options.starts` standard starts in total), plus any profiles
-    in `initial_profiles`. Damping drops to 0.5 automatically when the
-    residual stops decreasing monotonically. Fixed points are deduplicated
-    at 1e-6 in the max norm and sorted by total effort, highest first.
-    Starts that fail to converge within the iteration budget are reported
-    with converged=False rather than raised.
+    in `initial_profiles`. All starts iterate together as one batch, but
+    each keeps its own damping and stop test: damping drops to 0.5 when that
+    start's residual stops decreasing monotonically, and a start leaves the
+    batch once it converges. The solver holds two 2**n-row tables: the
+    contract's and its success-only part. Fixed points are deduplicated at
+    1e-6 in the max norm and sorted by total effort, highest first. Starts
+    that fail to converge within the iteration budget are reported with
+    converged=False rather than raised.
     """
     opts = options or SolverOptions()
     if costs.n != f.n:
@@ -195,7 +229,7 @@ def find_equilibria(f: Contract, costs: CostModel, options: SolverOptions | None
     for extra in initial_profiles:
         starts.append(as_profile(extra, f.n).as_array())
 
-    raw = [_iterate(ws, costs, s, opts) for s in starts]
+    raw = list(zip(*_iterate(ws, costs, np.array(starts), opts)))
     # Prefer converged, tighter fixed points as dedup representatives.
     raw.sort(key=lambda r: (not r[3], r[1]))
     results: list[EquilibriumResult] = []
@@ -204,9 +238,8 @@ def find_equilibria(f: Contract, costs: CostModel, options: SolverOptions | None
         if any(np.max(np.abs(p - q)) <= _DEDUP_TOL for q in kept):
             continue
         kept.append(p)
-        results.append(
-            EquilibriumResult(Profile(tuple(p)), residual, iterations, converged)
-        )
+        results.append(EquilibriumResult(
+            Profile(tuple(p)), float(residual), int(iterations), bool(converged)))
     results.sort(key=lambda r: -sum(r.profile))
     return results
 
@@ -236,10 +269,7 @@ def fgn_normalize(f: Contract, p: ProfileLike, costs: CostModel,
         if arr[i] > 0.0:
             # First-order condition bounds the ratio by 1; clip rounding spill.
             lam[i] = min(1.0, max(0.0, (cond_in[i] - cond_out[i]) / cond_in[i]))
-    n = f.n
-    member = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-    g_table = f.table * member * lam[None, :]
-    g = Contract(n, g_table, budget=f.budget, unconstrained=f.unconstrained)
+    g = Contract(f.n, ws.in_table * lam, budget=f.budget, unconstrained=f.unconstrained)
     check = equilibrium_residual(g, prof, costs)
     if check > tolerance:
         raise NotAnEquilibrium(

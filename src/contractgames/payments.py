@@ -19,6 +19,7 @@ from .core import (
     CostModel,
     ProfileLike,
     as_profile,
+    membership,
     outcome_probabilities,
     require_interior,
 )
@@ -101,14 +102,13 @@ def implementing_fgn_samples(q: ProfileLike, costs: CostModel, count: int,
     if scale is None:
         scale = 0.25 * float(base.min())
     rng = np.random.default_rng(seed)
-    masks_with = [
-        np.array([m for m in range(1 << n) if (m >> i) & 1]) for i in range(n)
-    ]
-    cond_probs = []
-    for i in range(n):
-        forced = arr.copy()
-        forced[i] = 1.0
-        cond_probs.append(outcome_probabilities(forced)[masks_with[i]])
+    member = membership(n)
+    masks_with = [np.flatnonzero(member[:, i]) for i in range(n)]
+    # Row i is the outcome distribution with agent i forced to succeed.
+    forced = np.tile(arr, (n, 1))
+    np.fill_diagonal(forced, 1.0)
+    forced_probs = outcome_probabilities(forced)
+    cond_probs = [forced_probs[i, masks_with[i]] for i in range(n)]
     samples = []
     for _ in range(count):
         table = np.zeros((1 << n, n))
@@ -136,10 +136,17 @@ class MpsVerdict:
 
 
 def _integrated_cdf(dist: PaymentDistribution, xs: np.ndarray) -> np.ndarray:
-    """Integral of the CDF from -inf to each x: sum_v p_v * max(0, x - v)."""
+    """Integral of the CDF from -inf to each x: sum_v p_v * max(0, x - v).
+
+    Evaluated as x * F(x) - sum_{v <= x} p_v v from cumulative sums over the
+    ascending atoms.
+    """
     values = np.asarray(dist.values)
     probs = np.asarray(dist.probs)
-    return np.clip(xs[:, None] - values[None, :], 0.0, None) @ probs
+    cdf = np.concatenate([[0.0], np.cumsum(probs)])
+    first_moment = np.concatenate([[0.0], np.cumsum(probs * values)])
+    k = np.searchsorted(values, xs, side="right")
+    return xs * cdf[k] - first_moment[k]
 
 
 def mps_compare(luce_dist: PaymentDistribution, other_dist: PaymentDistribution) -> MpsVerdict:

@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Contract, EquilibriumResult, LuceSpec, mask_agents
+from .core import Contract, EquilibriumResult, LuceSpec, _check_n, mask_agents, validate_mask
 from .luce import SynthesisResult, UniquenessReport
 from .maximal import ConditionReport, FrontierResult
 from .optimize import Optimum
@@ -74,9 +74,11 @@ def contract_to_dict(f: Contract) -> dict:
 
 def contract_from_dict(doc: dict) -> Contract:
     n = int(doc["n"])
+    _check_n(n)
     table = np.zeros((1 << n, n))
     for row in doc["table"]:
         mask = int(row["subset_bits"])
+        validate_mask(mask, n)
         shares = row["shares"]
         if len(shares) != n:
             raise ValueError(f"row for mask {mask} has {len(shares)} shares, expected {n}")
@@ -164,12 +166,6 @@ def verdict_to_dict(verdict: MpsVerdict) -> dict:
 
 
 # -- CSV helpers ---------------------------------------------------------------
-
-def distribution_csv_rows(dist: PaymentDistribution) -> list[list[str]]:
-    rows = [["value", "probability"]]
-    rows.extend([fmt_float(v), fmt_float(q)] for v, q in dist.atoms())
-    return rows
-
 
 def frontier_csv_rows(result: FrontierResult, n: int) -> list[list[str]]:
     if result.points:

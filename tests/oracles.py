@@ -3,13 +3,18 @@
 Everything here deliberately avoids the library's fast paths: probabilities
 come from explicit enumeration over outcome tuples, best responses from
 numeric utility maximization, and the two-agent equilibrium from a direct
-linear solve of the first-order conditions.
+linear solve of the first-order conditions. Contract tables are filled by
+loops over outcome masks, and the fixed-point iteration runs one start at a
+time, as the library did before those paths were vectorised.
 """
 
 import itertools
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+
+from contractgames.core import mask_agents, subset_mask
+from contractgames.equilibrium import _OSCILLATION_WINDOW, _best_responses
 
 
 def all_outcomes(n):
@@ -83,3 +88,61 @@ def central_diff(fn, x, h=1e-6):
 def integrated_cdf_brute(values, probs, x):
     """E[max(0, x - X)] computed atom by atom."""
     return sum(q * max(0.0, x - v) for v, q in zip(values, probs))
+
+
+def equal_split_table(n):
+    """Equal-split shares, one outcome mask at a time."""
+    table = np.zeros((1 << n, n))
+    for mask in range(1, 1 << n):
+        members = mask_agents(mask)
+        table[mask, list(members)] = 1.0 / len(members)
+    return table
+
+
+def expand_luce_table(spec, n):
+    """Luce shares: per mask, the first tier meeting it splits by weight."""
+    block_masks = [subset_mask(block, n) for block in spec.partition]
+    w = np.array(spec.weights)
+    table = np.zeros((1 << n, n))
+    for mask in range(1, 1 << n):
+        for bmask in block_masks:
+            top = mask & bmask
+            if top:
+                members = list(mask_agents(top))
+                table[mask, members] = w[members] / w[members].sum()
+                break
+    return table
+
+
+def piece_rate_table(q, costs):
+    """c_i'(q_i) to every successful agent, one outcome mask at a time."""
+    n = len(q)
+    rates = np.array([costs.marginal(i, q[i]) for i in range(n)])
+    table = np.zeros((1 << n, n))
+    for mask in range(1, 1 << n):
+        for i in mask_agents(mask):
+            table[mask, i] = rates[i]
+    return table
+
+
+def iterate_single(ws, costs, start, opts):
+    """Damped best-response iteration of one start, as (p, residual, iterations, converged).
+
+    Uses the library's best-response map on a single profile, so it pins
+    the batching and per-start bookkeeping, not the map itself.
+    """
+    p = np.array(start, dtype=float)
+    damping = opts.damping
+    history = []
+    for it in range(1, opts.max_iterations + 1):
+        b = _best_responses(ws, p, costs)
+        residual = float(np.max(np.abs(b - p)))
+        if residual <= opts.tolerance:
+            return b, residual, it, True
+        history.append(residual)
+        if len(history) > _OSCILLATION_WINDOW:
+            history.pop(0)
+            if damping > 0.5 and any(y > x for x, y in zip(history, history[1:])):
+                damping = 0.5
+        p = (1.0 - damping) * p + damping * b
+    return p, residual, opts.max_iterations, False

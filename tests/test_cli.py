@@ -124,6 +124,20 @@ def test_solve_contract_file(tmp_path, capsys):
     assert doc["equilibria"][0]["profile"] == pytest.approx([0.4, 0.4], abs=1e-8)
 
 
+@pytest.mark.parametrize("bits", [-1, 4])
+def test_solve_rejects_subset_bits_outside_n(tmp_path, capsys, bits):
+    doc = serialize.contract_to_dict(equal_split(2))
+    doc["table"].append({"subset_bits": bits, "shares": [1.0, 0.0]})
+    path = tmp_path / "contract.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "solve", "--contract", str(path), "--costs", "power:2:2,power:2:2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: outcome mask") and "Traceback" not in err
+
+
 def test_solve_applies_budget_normalization(tmp_path, capsys):
     # budget 2 with scales (4, 4) is the same game as budget 1 with (2, 2)
     path = tmp_path / "contract.json"

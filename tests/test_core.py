@@ -65,6 +65,16 @@ def test_outcome_probs_normalize(p):
     assert outcome_probabilities(p).sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_outcome_probabilities_batch_rows_match_single_profiles():
+    batch = np.random.default_rng(5).uniform(0.0, 0.95, size=(6, 4))
+    out = outcome_probabilities(batch)
+    assert out.shape == (6, 16)
+    for row, probs in zip(batch, out):
+        assert np.array_equal(probs, outcome_probabilities(row))
+    with pytest.raises(ValueError):
+        outcome_probabilities(batch[None])
+
+
 def test_mask_helpers():
     assert subset_mask([0, 2], 3) == 0b101
     assert mask_agents(0b101) == (0, 2)
@@ -211,6 +221,40 @@ def random_spec(rng, n):
     ]
     weights = rng.uniform(0.1, 1.0, size=n)
     return LuceSpec(tuple(blocks), tuple(weights))
+
+
+@st.composite
+def luce_specs(draw, n_max=10):
+    """1..n tiers over a random agent order, with random positive weights."""
+    n = draw(st.integers(1, n_max))
+    order = draw(st.permutations(range(n)))
+    cut_after = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    blocks, block = [], [order[0]]
+    for agent, cut in zip(order[1:], cut_after):
+        if cut:
+            blocks.append(tuple(block))
+            block = []
+        block.append(agent)
+    blocks.append(tuple(block))
+    weights = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
+    return LuceSpec(tuple(blocks), tuple(weights))
+
+
+@settings(max_examples=60, deadline=None)
+@given(luce_specs())
+def test_expand_luce_matches_mask_loop_oracle(spec):
+    ref = oracles.expand_luce_table(spec, spec.n)
+    assert np.max(np.abs(expand_luce(spec, spec.n).table - ref)) <= 1e-15
+
+
+def test_equal_split_and_piece_rate_match_mask_loop_oracles():
+    rng = np.random.default_rng(4)
+    for n in range(1, 11):
+        assert np.array_equal(equal_split(n).table, oracles.equal_split_table(n))
+        q = tuple(rng.uniform(0.0, 0.9, n))
+        costs = CostModel.power(rng.uniform(1.0, 5.0, n), rng.uniform(2.0, 4.0, n))
+        assert np.array_equal(piece_rate(q, costs, unconstrained=True).table,
+                              oracles.piece_rate_table(q, costs))
 
 
 def test_expand_luce_is_always_sge():

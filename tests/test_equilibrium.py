@@ -20,6 +20,8 @@ from contractgames import (
     zero_contract,
 )
 
+from contractgames import equilibrium
+
 import oracles
 
 QUAD22 = CostModel.power([2, 2])
@@ -205,6 +207,63 @@ def test_sorted_by_total_effort():
     res = find_equilibria(f, CostModel.power([2, 2, 2]))
     sums = [sum(r.profile) for r in res]
     assert sums == sorted(sums, reverse=True)
+
+
+def general_table(rng, n):
+    """Shares on every outcome for every agent, failures included; rows sum below 1."""
+    return rng.dirichlet(np.ones(n + 1), size=1 << n)[:, :n]
+
+
+def oracle_cases():
+    for n in (2, 3, 5, 8):
+        rng = np.random.default_rng(n)
+        costs = CostModel.power(rng.uniform(n + 1, n + 6, n), rng.uniform(2, 3, n))
+        spec = LuceSpec((tuple(range(n // 2)), tuple(range(n // 2, n))),
+                        tuple(rng.uniform(0.5, 2.0, n)))
+        for f in (equal_split(n), expand_luce(spec, n), random_fgn(rng, n),
+                  Contract(n, general_table(rng, n))):
+            yield f, costs, rng
+    # Cheap effort on a contract that also pays failures: the residuals of
+    # some starts, not all, rise inside the oscillation window, so only
+    # their damping drops to 0.5.
+    rng = np.random.default_rng(81)
+    f = Contract(3, general_table(rng, 3))
+    yield f, CostModel.power(rng.uniform(1.01, 1.3, 3), rng.uniform(2, 2.5, 3)), rng
+
+
+def test_batched_iteration_matches_single_start_oracle():
+    for f, costs, rng in oracle_cases():
+        ws = equilibrium._Workspace(f)
+        # The origin start exercises the p_i = 0 fallback in the first sweep.
+        starts = np.vstack([np.zeros(f.n), equilibrium._solo_start(ws, costs),
+                            rng.uniform(0.0, 0.9, (4, f.n))])
+        for opts in (SolverOptions(), SolverOptions(max_iterations=3),
+                     SolverOptions(damping=0.7, max_iterations=25)):
+            profiles, residuals, iterations, converged = equilibrium._iterate(
+                ws, costs, starts, opts)
+            for s, start in enumerate(starts):
+                p, residual, its, conv = oracles.iterate_single(ws, costs, start, opts)
+                assert (converged[s], iterations[s]) == (conv, its)
+                assert np.max(np.abs(profiles[s] - p)) <= 1e-9
+                assert residuals[s] == pytest.approx(residual, abs=1e-9)
+        oracle = [oracles.iterate_single(ws, costs, s, SolverOptions()) for s in starts]
+        found = find_equilibria(f, costs, SolverOptions(starts=2),
+                                initial_profiles=tuple(starts[2:]))
+        for res in found:
+            assert any(
+                conv == res.converged and np.max(np.abs(p - res.profile.as_array())) <= 1e-9
+                for p, _, _, conv in oracle
+            )
+
+
+def test_batched_iteration_raises_not_admissible():
+    # No solo reward, so the solo start passes; a joint bonus of 5 against
+    # c'(1) = 2 is inadmissible for any start where the other agent is above 0.4.
+    f = Contract.from_rows(2, {0b11: [5.0, 5.0]}, unconstrained=True)
+    with pytest.raises(NotAdmissible):
+        find_equilibria(f, QUAD22, SolverOptions(seed=0))
+    with pytest.raises(NotAdmissible):
+        oracles.iterate_single(equilibrium._Workspace(f), QUAD22, (0.5, 0.5), SolverOptions())
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,18 @@ def test_sosd_integrated_cdf_matches_brute():
         assert ours == pytest.approx(ref, abs=1e-14)
 
 
+def test_integrated_cdf_matches_brute_on_random_distributions():
+    from contractgames.payments import _integrated_cdf
+
+    rng = np.random.default_rng(12)
+    for size in (1, 2, 7, 64, 1024):
+        dist = PaymentDistribution.from_atoms(
+            zip(rng.uniform(0.0, 3.0, size), rng.dirichlet(np.ones(size))))
+        xs = np.concatenate([dist.values, rng.uniform(-0.5, 3.5, 50)])
+        ref = [oracles.integrated_cdf_brute(dist.values, dist.probs, x) for x in xs]
+        assert np.max(np.abs(_integrated_cdf(dist, xs) - ref)) <= 1e-12
+
+
 def test_sosd_detects_violation():
     tight = PaymentDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
     shifted = PaymentDistribution.from_atoms([(0.2, 0.5), (0.8, 0.5)])
