@@ -74,7 +74,6 @@ from .optimize import (
     Optimum,
     lambda_thresholds,
     optimize_principal,
-    ordered_set_partitions,
     two_agent_equilibrium,
     two_agent_equilibrium_derivatives,
     two_agent_optimal_lambda,

@@ -281,10 +281,8 @@ def cmd_optimize(args) -> int:
     optimum = optimize_principal(
         Objective.linear(weights),
         costs,
-        grid_resolution=args.grid,
         seed=args.seed,
         solver=SolverOptions(tolerance=solver.tolerance, starts=2, seed=solver.seed),
-        threads=args.threads,
     )
     _emit(serialize.canonical_json(serialize.optimum_to_dict(optimum)), args)
     return EXIT_OK
@@ -363,7 +361,6 @@ def cmd_frontier(args) -> int:
         non_sge_samples=args.samples,
         seed=args.seed,
         options=SolverOptions(tolerance=solver.tolerance, starts=4, seed=solver.seed),
-        threads=args.threads,
     )
     _emit(_csv_text(serialize.frontier_csv_rows(result, costs.n)), args)
     return EXIT_OK
@@ -408,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="best tiered contract for a linear objective")
     _add_problem_flags(p)
     p.add_argument("--weights", help="comma-separated positive objective weights")
-    p.add_argument("--grid", type=int, default=12, help="weight-grid resolution")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=cmd_optimize)
 
     p = sub.add_parser("two-agent", help="closed-form two-agent quadratic solution")
@@ -432,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, required=True, help="share-grid resolution")
     p.add_argument("--samples", type=int, default=0,
                    help="sub-budget contracts to audit for dominance")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=cmd_frontier)
 
     return parser

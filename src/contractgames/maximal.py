@@ -216,8 +216,7 @@ def _slack_needed(frontier: tuple[FrontierPoint, ...], q: np.ndarray) -> float:
 
 def brute_force_frontier(costs: CostModel, grid_resolution: int,
                          non_sge_samples: int = 0, seed: int | None = None,
-                         options: SolverOptions | None = None,
-                         threads: int = 1) -> FrontierResult:
+                         options: SolverOptions | None = None) -> FrontierResult:
     """Sample the maximal frontier by exhausting budget-exhausting contracts.
 
     Enumerates those contracts on a grid over the free share parameters (for
@@ -234,24 +233,12 @@ def brute_force_frontier(costs: CostModel, grid_resolution: int,
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be at least 1")
     opts = options or SolverOptions(starts=4)
-
-    def solve_cell(job) -> list[FrontierPoint]:
-        params, contract = job
-        return [
-            FrontierPoint(params, res.profile, z_value(res.profile, costs))
-            for res in find_equilibria(contract, costs, opts)
-            if res.converged
-        ]
-
-    cells = list(_sge_grid(n, grid_resolution))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve_cell, cells))
-    else:
-        solved = [solve_cell(job) for job in cells]
-    points: list[FrontierPoint] = [pt for cell in solved for pt in cell]
+    points = [
+        FrontierPoint(params, res.profile, z_value(res.profile, costs))
+        for params, contract in _sge_grid(n, grid_resolution)
+        for res in find_equilibria(contract, costs, opts)
+        if res.converged
+    ]
     grid_step = 1.0 / grid_resolution
     slack_allowed = 2.0 * grid_step
     checks: list[DominanceCheck] = []

@@ -1,18 +1,18 @@
-"""Principal's problem: maximize an increasing objective over tiered contracts.
+"""Principal's problem: maximize an increasing objective over Luce contracts.
 
-The search space is the family of ordered agent partitions (priority tiers)
-with positive within-tier weights. Tiers are enumerated exhaustively for
-n <= 6; weights are optimized per tier structure by a coarse simplex grid
-followed by Nelder-Mead refinement, each candidate scored at the best
-converged equilibrium of its expanded contract. A two-agent quadratic-cost
-closed form is provided for cross-checking.
+Some Luce contract is always optimal, and Luce contracts with a unit budget
+implement exactly the profiles p with z(p) <= 1 that pass the subset
+inequality. So the search runs over profiles, and `synthesize_luce` turns the
+optimum into its contract. The worst subset at p is a prefix of the agents
+sorted by s_i / q_i (s_i = p_i c_i'(p_i), q_i = -log(1 - p_i)); that sort is
+discontinuous, so the local solver (SLSQP, or COBYLA for custom objectives)
+sees cutting planes instead, one fixed subset added per solve. A two-agent
+quadratic-cost closed form is provided for cross-checking.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,16 +21,23 @@ from scipy.optimize import bisect, minimize
 
 from .core import Contract, CostModel, LuceSpec, Profile, expand_luce
 from .equilibrium import SolverOptions, find_equilibria
-from .errors import ObjectiveNotIncreasing, ParameterOutOfRange
+from .errors import ContractGameError, NoConvergence, ObjectiveNotIncreasing, ParameterOutOfRange
+from .luce import synthesize_luce
 
-# Weight vectors are kept a macroscopic step inside each block's simplex:
-# every simplex boundary is exactly the expansion of a finer partition, which
-# the enumeration evaluates directly, so searching arbitrarily close to a
-# corner only duplicates that candidate at lower numerical contrast. The value
-# sacrificed on an interior optimum closer than the floor is O(floor^2), far
-# below the refinement tolerance.
-_WEIGHT_FLOOR = 1e-3
-_PENALTY = 1e9
+_STARTS = 8
+# Cuts are added until the most violated prefix has slack >= -_CUT_TOL.
+_CUT_TOL = 1e-12
+_MAX_CUT_ROUNDS = 50
+# A result is accepted when z <= 1 + _ACCEPT_TOL and every prefix has slack
+# >= -_ACCEPT_TOL, well inside synthesis's 1e-9 tight-set tolerance.
+_ACCEPT_TOL = 1e-10
+# Prefixes this close to tight are made exactly tight before synthesis, so
+# the tight chain it reads off is not broken by rounding.
+_SNAP_TOL = 1e-7
+_FALLBACK_SNAP_TOL = 1e-4
+# Profiles stay this far inside (0, 1): synthesis needs interior profiles,
+# and the constraints take log(1 - p).
+_EDGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,31 +68,14 @@ class Objective:
 
 @dataclass(frozen=True)
 class Optimum:
+    """The optimal contract and its equilibrium. `search_trace` counts the local
+    solver's objective evaluations, `failed_starts` the starts that failed."""
+
     spec: LuceSpec
     equilibrium: Profile
     value: float
     search_trace: int
-
-
-def ordered_set_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All ordered partitions of agents 0..n-1, fewest blocks first."""
-
-    def set_partitions(items: tuple[int, ...]):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for smaller in set_partitions(rest):
-            for k in range(len(smaller)):
-                yield smaller[:k] + [sorted([first] + smaller[k])] + smaller[k + 1:]
-            yield [[first]] + smaller
-
-    ordered = []
-    for blocks in set_partitions(tuple(range(n))):
-        for perm in itertools.permutations(blocks):
-            ordered.append(tuple(tuple(b) for b in perm))
-    ordered.sort(key=lambda part: (len(part), part))
-    return ordered
+    failed_starts: int = 0
 
 
 def _probe_increasing(objective: Objective, n: int) -> None:
@@ -105,177 +95,201 @@ def _probe_increasing(objective: Objective, n: int) -> None:
             return
 
 
-def _weights_from_free(partition, x: np.ndarray, n: int) -> np.ndarray | None:
-    """Free coordinates are each block's weights except the last member's."""
-    weights = np.empty(n)
-    pos = 0
-    for block in partition:
-        k = len(block)
-        if k == 1:
-            weights[block[0]] = 1.0
-            continue
-        head = x[pos: pos + k - 1]
-        pos += k - 1
-        tail = 1.0 - head.sum()
-        if np.any(head < _WEIGHT_FLOOR) or tail < _WEIGHT_FLOOR:
-            return None
-        for j, agent in enumerate(block[:-1]):
-            weights[agent] = head[j]
-        weights[block[-1]] = tail
-    return weights
+class _ProfileSearch:
+    """The profile-space problem for one objective and cost model.
 
+    Subsets are rows of 0/1 masks. `cuts` only grows, and each cut holds
+    everywhere, so all starts share it.
+    """
 
-def _free_grid(partition, resolution: int) -> list[np.ndarray]:
-    """Interior grid over the product of within-block weight simplices."""
-    per_block = []
-    for block in partition:
-        k = len(block)
-        if k == 1:
-            continue
-        pts = []
-        for combo in itertools.product(range(1, resolution), repeat=k - 1):
-            head = np.array(combo, dtype=float) / resolution
-            if head.sum() < 1.0 - 1.0 / (2.0 * resolution):
-                pts.append(head)
-        per_block.append(pts)
-    if not per_block:
-        return [np.empty(0)]
-    return [np.concatenate(parts) for parts in itertools.product(*per_block)]
-
-
-class _Evaluator:
-    def __init__(self, partition, objective, costs, solver):
-        self.partition = partition
+    def __init__(self, objective: Objective, costs: CostModel):
         self.objective = objective
         self.costs = costs
-        self.solver = solver
         self.n = costs.n
+        self.cuts = np.zeros((0, self.n))
         self.evals = 0
-        self.best: tuple[float, LuceSpec, Profile] | None = None
 
-    def __call__(self, x: np.ndarray) -> float:
-        """Negative objective value at the best equilibrium; large when infeasible."""
-        weights = _weights_from_free(self.partition, np.asarray(x, dtype=float), self.n)
-        if weights is None:
-            return _PENALTY
-        spec = LuceSpec(self.partition, tuple(weights))
-        contract = expand_luce(spec, self.n)
-        self.evals += 1
-        value = -np.inf
-        best_profile = None
-        for res in find_equilibria(contract, self.costs, self.solver):
-            if not res.converged:
+    def spend(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """s_i = p_i c_i'(p_i) and ds_i / dp_i (exact for power costs)."""
+        m = self.costs.marginal_vec(p)
+        if self.costs._power_exp is not None:
+            return p * m, self.costs._power_exp * m
+        h = 1e-7
+        curvature = (self.costs.marginal_vec(p + h) - self.costs.marginal_vec(p - h)) / (2 * h)
+        return p * m, m + p * curvature
+
+    def rows(self, p: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """1 - z(p), then rhs - lhs of the subset inequality per mask, with the Jacobian.
+
+        z = sum_i s_i + prod_i (1 - p_i), rhs = P[S meets I] / P[S nonempty]
+        and lhs = s_I / sum_i s_i.
+        """
+        s, ds = self.spend(p)
+        fail_i = np.exp(masks @ np.log1p(-p))
+        fail = float(np.prod(1.0 - p))
+        spend = float(s.sum())
+        rhs = (1.0 - fail_i) / (1.0 - fail)
+        lhs = masks @ s / spend
+        jac = ((masks * fail_i[:, None] - rhs[:, None] * fail) / (1.0 - fail) / (1.0 - p)
+               - ds * (masks - lhs[:, None]) / spend)
+        return (np.concatenate([[1.0 - spend - fail], rhs - lhs]),
+                np.vstack([fail / (1.0 - p) - ds, jac]))
+
+    def prefixes(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The n - 1 proper prefixes of the s_i / q_i order, and 1 - z then their slacks.
+
+        The worst subset of the inequality is always one of these prefixes.
+        """
+        s, _ = self.spend(p)
+        rank = np.argsort(np.argsort(s / np.log1p(-p), kind="stable"))
+        masks = (rank[None, :] < np.arange(1, self.n)[:, None]).astype(float)
+        return masks, self.rows(p, masks)[0]
+
+    def feasible(self, p: np.ndarray) -> bool:
+        values = self.prefixes(p)[1]
+        return bool(np.all(np.isfinite(p)) and np.all(values >= -_ACCEPT_TOL))
+
+    def local(self, p0: np.ndarray, equal: np.ndarray) -> np.ndarray:
+        """One local solve under z <= 1, the cuts, and `equal` held tight.
+
+        SLSQP can stop a hair outside an active constraint (status 8), so
+        two Gauss-Newton steps then project onto the violated inequalities
+        and the equalities.
+        """
+        k = 1 + len(self.cuts)
+        masks = np.vstack([self.cuts, equal])
+        constraints = [{"type": "ineq", "fun": lambda p: self.rows(p, masks)[0][:k],
+                        "jac": lambda p: self.rows(p, masks)[1][:k]}]
+        if len(equal):
+            constraints.append({"type": "eq", "fun": lambda p: self.rows(p, masks)[0][k:],
+                                "jac": lambda p: self.rows(p, masks)[1][k:]})
+        bounds = [(_EDGE, 1.0 - _EDGE)] * self.n
+        if self.objective.kind == "linear":
+            w = np.array(self.objective.weights) / sum(self.objective.weights)
+            res = minimize(lambda p: (-float(w @ p), -w), p0, jac=True, method="SLSQP",
+                           bounds=bounds, constraints=constraints,
+                           options={"ftol": 1e-15, "maxiter": 500})
+        else:
+            res = minimize(lambda p: -self.objective.value(np.clip(p, _EDGE, 1.0 - _EDGE)),
+                           p0, method="COBYLA", bounds=bounds, constraints=constraints,
+                           options={"rhobeg": 0.05, "tol": 1e-12, "catol": 1e-14, "maxiter": 5000})
+        self.evals += int(res.nfev)
+        p = np.clip(res.x, _EDGE, 1.0 - _EDGE)
+        for _ in range(2):
+            values, jac = self.rows(p, masks)
+            active = values < 0.0
+            active[k:] = True
+            if not np.all(np.isfinite(values)) or not active.any():
+                break
+            step = np.linalg.lstsq(jac[active], -values[active], rcond=None)[0]
+            p = np.clip(p + step, _EDGE, 1.0 - _EDGE)
+        return p
+
+    def solve(self, p0: np.ndarray, equal: np.ndarray) -> np.ndarray:
+        """Local solves, each followed by a cut on the most violated prefix."""
+        p = p0
+        for _ in range(_MAX_CUT_ROUNDS):
+            p = self.local(p, equal)
+            masks, values = self.prefixes(p)
+            slack = values[1:]
+            if not slack.size or slack.min() >= -_CUT_TOL:
+                break
+            worst = masks[np.argmin(slack)]
+            if any(np.array_equal(worst, cut) for cut in self.cuts):
+                break
+            self.cuts = np.vstack([self.cuts, worst])
+        return p
+
+    def contract(self, p: np.ndarray, equal: np.ndarray) -> tuple[LuceSpec, np.ndarray] | None:
+        """The Luce spec implementing p after its near-tight prefixes are held tight.
+
+        Prefixes within _SNAP_TOL of tight are snapped, and the snap is kept
+        if feasible and no worse. If synthesis fails (within-tier weights
+        below about 1e-4 stall it), a snap at _FALLBACK_SNAP_TOL gives up a
+        little value to reach a contract.
+        """
+        masks, values = self.prefixes(p)
+        value = self.objective.value(p)
+        for tol, floor in ((_SNAP_TOL, value - 1e-12 * max(1.0, abs(value))),
+                           (_FALLBACK_SNAP_TOL, -np.inf)):
+            near = masks[values[1:] <= tol]
+            q = self.local(p, np.vstack([equal, near])) if len(near) else p
+            if not self.feasible(q) or self.objective.value(q) < floor:
+                q = p
+            try:
+                return synthesize_luce(q, self.costs).spec, q
+            except ContractGameError:
                 continue
-            v = self.objective.value(res.profile.probs)
-            if v > value:
-                value, best_profile = v, res.profile
-        if best_profile is None:
-            return _PENALTY
-        if self.best is None or value > self.best[0]:
-            self.best = (value, spec, best_profile)
-        return -value
-
-
-def _optimize_partition(partition, objective, costs, solver, grid_resolution,
-                        restarts, rng) -> tuple[float, LuceSpec, Profile, int] | None:
-    evaluator = _Evaluator(partition, objective, costs, solver)
-    n = costs.n
-    dims = sum(len(b) - 1 for b in partition)
-    if dims == 0:
-        evaluator(np.empty(0))
-    else:
-        grid = _free_grid(partition, grid_resolution)
-        scored = [(evaluator(x), tuple(x)) for x in grid]
-        scored.sort(key=lambda t: t[0])
-        seeds = [np.array(scored[0][1])]
-        for _ in range(max(0, restarts - 1)):
-            weights = np.empty(n)
-            for block in partition:
-                w = rng.dirichlet(2.0 * np.ones(len(block)))
-                weights[list(block)] = w
-            x0 = np.concatenate([
-                [weights[a] for a in block[:-1]] for block in partition if len(block) > 1
-            ])
-            seeds.append(x0)
-        for x0 in seeds:
-            simplex = np.vstack([x0] + [x0 + 0.1 * e for e in np.eye(dims)])
-            minimize(
-                evaluator,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "initial_simplex": simplex,
-                    "xatol": 1e-8,
-                    "fatol": 1e-12,
-                    "maxiter": 400 * dims,
-                },
-            )
-    if evaluator.best is None:
         return None
-    value, spec, profile = evaluator.best
-    return value, spec, profile, evaluator.evals
+
+
+def _starts(costs: CostModel, rng: np.random.Generator) -> list[np.ndarray]:
+    """Equilibria of single-tier contracts: equal weights, then random ones."""
+    n = costs.n
+    weights = [np.ones(n)] + [np.exp(rng.normal(size=n)) for _ in range(_STARTS - 1)]
+    starts = []
+    for w in weights[: _STARTS if n > 1 else 1]:
+        contract = expand_luce(LuceSpec.single_block(w), n)
+        res = find_equilibria(contract, costs, SolverOptions(starts=1))[0]
+        starts.append(np.clip(res.profile.as_array(), _EDGE, 1.0 - _EDGE))
+    return starts
+
+
+def _chain(partition: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """Masks of the unions B1, B1 u B2, ... of an ordered partition, short of the full set."""
+    partition = LuceSpec(partition, (1.0,) * n).partition  # raises unless it covers 0..n-1
+    masks = np.zeros((len(partition) - 1, n))
+    for k, block in enumerate(partition[:-1]):
+        masks[k:, list(block)] = 1.0
+    return masks
 
 
 def optimize_principal(objective: Objective, costs: CostModel,
-                       grid_resolution: int = 12, restarts: int = 4,
                        seed: int | None = None,
                        solver: SolverOptions | None = None,
                        partitions: Sequence[tuple[tuple[int, ...], ...]] | None = None,
-                       threads: int = 1) -> Optimum:
-    """Maximize the objective over tier structures and within-tier weights.
+                       ) -> Optimum:
+    """Maximize the objective over the profiles that Luce contracts implement.
 
-    Tier structures are enumerated exhaustively for n <= 6 (13 at n = 3, 75
-    at n = 4); beyond that only the single-tier family is searched unless
-    `partitions` supplies candidates explicitly. Ties in value go to the
-    candidate listed first: fewer tiers, then lexicographic order, which
-    makes the output deterministic for a fixed seed.
+    Runs the cutting-plane search from each start (drawn with `seed`) and
+    ranks the results that pass the feasibility check. For the best one,
+    `synthesize_luce` recovers the contract and `find_equilibria` re-solves
+    it under `solver`; the returned equilibrium is the converged one nearest
+    the optimal profile, and `value` is the objective there. A result that
+    cannot be synthesized counts as a failed start, and the next is tried.
+
+    `partitions` limits the search to the given ordered partitions by
+    holding each one's unions B1, B1 u B2, ... tight; an optimum on the edge
+    of that family can come back as a finer partition. Raises NoConvergence
+    when no start yields a contract.
     """
     n = costs.n
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be at least 2")
     _probe_increasing(objective, n)
-    if partitions is None:
-        if n <= 6:
-            partitions = ordered_set_partitions(n)
-        else:
-            partitions = [(tuple(range(n)),)]
-    else:
-        partitions = sorted(
-            (tuple(tuple(sorted(b)) for b in part) for part in partitions),
-            key=lambda part: (len(part), part),
-        )
+    search = _ProfileSearch(objective, costs)
+    chains = [np.zeros((0, n))] if partitions is None else [_chain(b, n) for b in partitions]
+    starts = _starts(costs, np.random.default_rng(seed))
+    failed = 0
+    found = []
+    for equal in chains:
+        for p0 in starts:
+            p = search.solve(p0, equal)
+            if search.feasible(p):
+                found.append((objective.value(p), p, equal))
+            else:
+                failed += 1
     solver = solver or SolverOptions(starts=2)
-    rng = np.random.default_rng(seed)
-    jobs = [
-        (part, np.random.default_rng(rng.integers(0, 2 ** 63)))
-        for part in partitions
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(
-                lambda job: _optimize_partition(
-                    job[0], objective, costs, solver, grid_resolution, restarts, job[1]
-                ),
-                jobs,
-            ))
-    else:
-        outcomes = [
-            _optimize_partition(part, objective, costs, solver, grid_resolution, restarts, r)
-            for part, r in jobs
-        ]
-    best = None
-    trace = 0
-    for out in outcomes:
-        if out is None:
-            continue
-        value, spec, profile, evals = out
-        trace += evals
-        if best is None or value > best[0]:
-            best = (value, spec, profile)
-    if best is None:
-        raise RuntimeError("no candidate contract produced a converged equilibrium")
-    value, spec, profile = best
-    return Optimum(spec=spec, equilibrium=profile, value=value, search_trace=trace)
+    for _, p, equal in sorted(found, key=lambda t: -t[0]):
+        made = search.contract(p, equal)
+        if made is not None:
+            spec, p = made
+            results = [r for r in find_equilibria(expand_luce(spec, n), costs, solver,
+                                                  initial_profiles=(p,)) if r.converged]
+            if results:
+                best = min(results, key=lambda r: float(np.max(np.abs(r.profile.as_array() - p))))
+                return Optimum(spec, best.profile, objective.value(best.profile.probs),
+                               search.evals, failed)
+        failed += 1
+    raise NoConvergence(f"none of {failed} starts produced a feasible, synthesizable optimum")
 
 
 # ---------------------------------------------------------------------------

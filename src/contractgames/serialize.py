@@ -139,6 +139,7 @@ def optimum_to_dict(opt: Optimum) -> dict:
         "equilibrium": list(opt.equilibrium.probs),
         "value": opt.value,
         "search_trace": opt.search_trace,
+        "failed_starts": opt.failed_starts,
     }
 
 

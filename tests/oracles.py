@@ -5,16 +5,18 @@ come from explicit enumeration over outcome tuples, best responses from
 numeric utility maximization, and the two-agent equilibrium from a direct
 linear solve of the first-order conditions. Contract tables are filled by
 loops over outcome masks, and the fixed-point iteration runs one start at a
-time, as the library did before those paths were vectorised.
+time, as the library did before those paths were vectorised. The principal's
+problem is solved by the library's former search over contract weights:
+every ordered partition, a weight grid per partition, then Nelder-Mead.
 """
 
 import itertools
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
-from contractgames.core import mask_agents, subset_mask
-from contractgames.equilibrium import _OSCILLATION_WINDOW, _best_responses
+from contractgames.core import LuceSpec, expand_luce, mask_agents, subset_mask
+from contractgames.equilibrium import _OSCILLATION_WINDOW, _best_responses, find_equilibria
 
 
 def all_outcomes(n):
@@ -146,3 +148,117 @@ def iterate_single(ws, costs, start, opts):
                 damping = 0.5
         p = (1.0 - damping) * p + damping * b
     return p, residual, opts.max_iterations, False
+
+
+def ordered_set_partitions(n):
+    """All ordered partitions of agents 0..n-1, fewest blocks first."""
+
+    def set_partitions(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for smaller in set_partitions(rest):
+            for k in range(len(smaller)):
+                yield smaller[:k] + [sorted([first] + smaller[k])] + smaller[k + 1:]
+            yield [[first]] + smaller
+
+    ordered = []
+    for blocks in set_partitions(tuple(range(n))):
+        for perm in itertools.permutations(blocks):
+            ordered.append(tuple(tuple(b) for b in perm))
+    ordered.sort(key=lambda part: (len(part), part))
+    return ordered
+
+
+# Searched weights stay this far inside each block's simplex; its boundary is
+# the expansion of a finer partition, which the enumeration visits anyway.
+_WEIGHT_FLOOR = 1e-3
+
+
+def _weights_from_free(partition, x, n):
+    """Free coordinates are each block's weights except the last member's."""
+    weights = np.empty(n)
+    pos = 0
+    for block in partition:
+        k = len(block)
+        if k == 1:
+            weights[block[0]] = 1.0
+            continue
+        head = x[pos: pos + k - 1]
+        pos += k - 1
+        tail = 1.0 - head.sum()
+        if np.any(head < _WEIGHT_FLOOR) or tail < _WEIGHT_FLOOR:
+            return None
+        weights[list(block[:-1])] = head
+        weights[block[-1]] = tail
+    return weights
+
+
+def _free_grid(partition, resolution):
+    """Interior grid over the product of within-block weight simplices."""
+    per_block = []
+    for block in partition:
+        k = len(block)
+        if k == 1:
+            continue
+        pts = []
+        for combo in itertools.product(range(1, resolution), repeat=k - 1):
+            head = np.array(combo, dtype=float) / resolution
+            if head.sum() < 1.0 - 1.0 / (2.0 * resolution):
+                pts.append(head)
+        per_block.append(pts)
+    if not per_block:
+        return [np.empty(0)]
+    return [np.concatenate(parts) for parts in itertools.product(*per_block)]
+
+
+def partition_search_optimum(objective, costs, solver, grid_resolution=12, restarts=4, seed=None):
+    """Best (value, spec, profile) over every ordered partition's weights.
+
+    Each partition's weights are scored on a grid, then refined by
+    Nelder-Mead from the best grid point and `restarts - 1` random ones;
+    each candidate is scored at the best converged equilibrium of its
+    expanded contract. Practical for n <= 3.
+    """
+    n = costs.n
+    rng = np.random.default_rng(seed)
+    best = None
+    for partition in ordered_set_partitions(n):
+        part_rng = np.random.default_rng(rng.integers(0, 2 ** 63))
+
+        def score(x):
+            nonlocal best
+            weights = _weights_from_free(partition, np.asarray(x, dtype=float), n)
+            if weights is None:
+                return 1e9
+            spec = LuceSpec(partition, tuple(weights))
+            values = [(objective.value(r.profile.probs), r.profile)
+                      for r in find_equilibria(expand_luce(spec, n), costs, solver)
+                      if r.converged]
+            if not values:
+                return 1e9
+            value, profile = max(values, key=lambda t: t[0])
+            if best is None or value > best[0]:
+                best = (value, spec, profile)
+            return -value
+
+        dims = sum(len(b) - 1 for b in partition)
+        if dims == 0:
+            score(np.empty(0))
+            continue
+        scored = sorted(((score(x), tuple(x)) for x in _free_grid(partition, grid_resolution)),
+                        key=lambda t: t[0])
+        seeds = [np.array(scored[0][1])]
+        for _ in range(restarts - 1):
+            weights = np.empty(n)
+            for block in partition:
+                weights[list(block)] = part_rng.dirichlet(2.0 * np.ones(len(block)))
+            seeds.append(np.concatenate(
+                [[weights[a] for a in block[:-1]] for block in partition if len(block) > 1]))
+        for x0 in seeds:
+            simplex = np.vstack([x0] + [x0 + 0.1 * e for e in np.eye(dims)])
+            minimize(score, x0, method="Nelder-Mead",
+                     options={"initial_simplex": simplex, "xatol": 1e-8,
+                              "fatol": 1e-12, "maxiter": 400 * dims})
+    return best

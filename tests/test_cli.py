@@ -166,6 +166,29 @@ def test_optimize_linear_objective(capsys):
     assert doc["value"] == pytest.approx(1.75, abs=1e-6)
 
 
+def test_optimize_reports_search_counts(capsys):
+    code, out, _ = run_cli(
+        capsys, "optimize", "--costs", "power:2:2,power:2:2,power:3:2",
+        "--weights", "1,2,1", "--seed", "0",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["failed_starts"] == 0
+    assert doc["search_trace"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--weights", "1,1", "--grid", "4"],
+    ["optimize", "--weights", "1,1", "--threads", "2"],
+    ["frontier", "--grid", "4", "--threads", "2"],
+])
+def test_removed_search_flags_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--costs", "power:2:2,power:2:2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_payments_command(capsys):
     code, out, _ = run_cli(
         capsys, "payments", "--profile", "0.4,0.4",

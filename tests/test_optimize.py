@@ -3,16 +3,18 @@ import pytest
 
 from contractgames import (
     CostModel,
+    LuceSpec,
     Objective,
     ObjectiveNotIncreasing,
     ParameterOutOfRange,
     SolverOptions,
+    TabulatedMonotone,
+    brute_force_frontier,
     expand_luce,
     find_equilibria,
     lambda_thresholds,
     maximal_candidate,
     optimize_principal,
-    ordered_set_partitions,
     two_agent_equilibrium,
     two_agent_equilibrium_derivatives,
     two_agent_optimal_lambda,
@@ -20,6 +22,7 @@ from contractgames import (
 )
 
 import oracles
+from contractgames import optimize
 
 QUAD22 = CostModel.power([2, 2])
 
@@ -111,11 +114,11 @@ def test_closed_form_matches_solver_dense_grid():
 # ---------------------------------------------------------------------------
 
 def test_ordered_partition_counts():
-    assert [len(ordered_set_partitions(n)) for n in (1, 2, 3, 4, 5)] == [1, 3, 13, 75, 541]
+    assert [len(oracles.ordered_set_partitions(n)) for n in (1, 2, 3, 4, 5)] == [1, 3, 13, 75, 541]
 
 
 def test_ordered_partitions_cover_and_order():
-    parts = ordered_set_partitions(3)
+    parts = oracles.ordered_set_partitions(3)
     assert parts[0] == ((0, 1, 2),)
     sizes = [len(p) for p in parts]
     assert sizes == sorted(sizes)
@@ -170,7 +173,7 @@ def test_optimizer_output_is_maximal_candidate():
 def test_optimizer_three_agents_symmetric():
     costs = CostModel.power([2, 2, 2])
     opt = optimize_principal(
-        Objective.linear([1, 1, 1]), costs, grid_resolution=6, seed=3,
+        Objective.linear([1, 1, 1]), costs, seed=3,
         solver=SolverOptions(tolerance=1e-11, starts=2),
     )
     assert opt.spec.partition == ((0, 1, 2),)
@@ -190,7 +193,6 @@ def test_optimizer_custom_objective_and_probe_warning():
     with pytest.warns(ObjectiveNotIncreasing):
         optimize_principal(
             Objective.custom(lambda p: -p[0]), QUAD22, seed=5,
-            grid_resolution=4, restarts=1,
         )
 
 
@@ -202,6 +204,112 @@ def test_optimizer_user_partitions_only():
     # restricted to the two priority orders, both give total effort 0.75
     assert opt.value == pytest.approx(0.75, abs=1e-10)
     assert len(opt.spec.partition) == 2
+
+
+def test_optimizer_searches_tiers_beyond_six_agents():
+    # The weight search used to fall back to one tier for n > 6 and stopped
+    # at 7.179496 here; two tiers reach 7.183201.
+    costs = CostModel.power([2.0] * 8)
+    objective = Objective.linear([8, 8, 1, 1, 1, 1, 1, 1])
+    two_tier = LuceSpec(((0, 1), (2, 3, 4, 5, 6, 7)), (1.0,) * 8)
+    direct = max(objective.value(r.profile.probs)
+                 for r in find_equilibria(expand_luce(two_tier, 8), costs) if r.converged)
+    opt = optimize_principal(objective, costs, seed=0)
+    assert opt.value >= direct - 1e-9
+    assert len(opt.spec.partition) == 2
+
+
+@pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+def test_optimizer_matches_partition_search_oracle(n, seed):
+    rng = np.random.default_rng(seed)
+    costs = CostModel.power(rng.uniform(2.0, 4.0, size=n))
+    objective = Objective.linear(rng.uniform(0.5, 2.0, size=n))
+    solver = SolverOptions(starts=2)
+    value, _, _ = oracles.partition_search_optimum(
+        objective, costs, solver, grid_resolution=6, restarts=2, seed=seed)
+    assert optimize_principal(objective, costs, seed=seed).value == pytest.approx(value, abs=1e-6)
+
+
+@pytest.mark.parametrize("scales,weights,resolution", [
+    ((2.0, 3.0), (1.0, 1.5), 40),
+    ((2.0, 2.5, 3.0), (1.2, 0.7, 1.0), 4),
+])
+def test_some_luce_contract_is_optimal(scales, weights, resolution):
+    costs = CostModel.power(scales)
+    objective = Objective.linear(weights)
+    frontier = brute_force_frontier(costs, resolution, options=SolverOptions(starts=2))
+    best = max(objective.value(pt.profile.probs) for pt in frontier.points)
+    opt = optimize_principal(objective, costs, seed=0)
+    # Each frontier point is an exact equilibrium of some contract, so no
+    # point may beat the Luce optimum beyond solver tolerance, which is much
+    # tighter than the grid's slack; the grid must come within that slack.
+    assert best <= opt.value + 1e-8
+    assert best >= opt.value - frontier.slack_allowed * sum(weights)
+
+
+def test_optimizer_with_tabulated_costs_matches_power_costs():
+    # This marginal is 2p up to p = 0.5, where the optimum lies, so the
+    # central-difference slope must reproduce the power-cost answer.
+    tab = TabulatedMonotone((0.0, 0.5, 1.0), (0.0, 1.0, 3.0))
+    objective = Objective.linear([1.0, 2.0, 1.5])
+    power = optimize_principal(objective, CostModel.power([2.0] * 3), seed=0)
+    tabulated = optimize_principal(objective, CostModel((tab,) * 3), seed=0)
+    assert tabulated.value == pytest.approx(power.value, abs=1e-9)
+    assert tabulated.spec.partition == power.spec.partition
+
+
+def test_failed_start_is_counted(monkeypatch):
+    solve = optimize._ProfileSearch.solve
+    calls = []
+
+    def first_start_fails(self, p0, equal):
+        calls.append(p0)
+        p = solve(self, p0, equal)
+        return p * 1.5 if len(calls) == 1 else p
+
+    monkeypatch.setattr(optimize._ProfileSearch, "solve", first_start_fails)
+    opt = optimize_principal(Objective.linear([1, 1]), QUAD22, seed=0)
+    assert opt.failed_starts == 1
+    assert opt.value == pytest.approx(0.8, abs=1e-8)
+
+
+def test_solver_stops_outside_constraint_are_projected_back():
+    # At this corner SLSQP stops 4e-10 outside z <= 1 on two of the starts
+    # (status 8); the Gauss-Newton steps put them back inside.
+    opt = optimize_principal(Objective.linear([0.4, 1]), QUAD22, seed=0)
+    assert opt.failed_starts == 0
+
+
+def test_near_tight_prefix_is_snapped_before_synthesis(monkeypatch):
+    # A joint share of 1e-7 leaves the prefix {agent 2} 2e-8 short of tight:
+    # the snap makes it tight, so the first synthesis call already succeeds.
+    calls = []
+    synthesize = optimize.synthesize_luce
+    monkeypatch.setattr(optimize, "synthesize_luce",
+                        lambda p, costs: calls.append(p) or synthesize(p, costs))
+    search = optimize._ProfileSearch(Objective.linear([0.4, 1]), QUAD22)
+    near_corner = np.array(two_agent_equilibrium(2, 2, 1e-7))
+    spec, p = search.contract(near_corner, np.zeros((0, 2)))
+    assert spec.partition == ((1,), (0,))
+    assert len(calls) == 1
+    assert p == pytest.approx((0.25, 0.5), abs=1e-12)
+
+
+def test_optimizer_just_past_corner_threshold_still_returns_contract():
+    # The optimal joint share here is about 1e-5, a weight synthesis cannot
+    # reach; the fallback snap trades a sliver of value for the corner.
+    w = 0.4 + 1e-5
+    lam = two_agent_optimal_lambda(2, 2, w)
+    p1, p2 = two_agent_equilibrium(2, 2, lam)
+    opt = optimize_principal(Objective.linear([w, 1]), QUAD22, seed=0)
+    assert opt.value == pytest.approx(w * p1 + p2, abs=1e-9)
+    assert opt.value <= w * p1 + p2 + 1e-12
+
+
+@pytest.mark.parametrize("partition", [((0,),), ((0,), (0, 1)), ((0,), (2,))])
+def test_optimizer_rejects_partitions_not_covering_the_agents(partition):
+    with pytest.raises(ValueError):
+        optimize_principal(Objective.linear([1, 1]), QUAD22, partitions=[partition])
 
 
 def test_objective_validation():
