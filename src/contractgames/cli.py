@@ -50,7 +50,7 @@ EXIT_NO_CONVERGENCE = 4
 PROBLEM_CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
-        "n": {"type": "integer", "minimum": 1, "maximum": 20},
+        "n": {"type": "integer", "minimum": 1},
         "costs": {
             "type": "array",
             "minItems": 1,

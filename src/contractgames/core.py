@@ -16,6 +16,8 @@ from scipy.optimize import bisect
 
 from .errors import BudgetExceeded, DegenerateProfile
 
+# Largest agent count for anything that builds a 2^n outcome table. Costs,
+# profiles, Luce specs and the Luce-family checks take any n >= 1.
 MAX_AGENTS = 20
 
 # Default tolerance for contract classification and share comparisons.
@@ -189,7 +191,6 @@ class CostModel:
         agents = tuple(self.agents)
         if not agents:
             raise ValueError("cost model needs at least one agent")
-        _check_n(len(agents))
         object.__setattr__(self, "agents", agents)
         if all(isinstance(c, PowerCost) for c in agents):
             scale = np.array([c.scale for c in agents])
@@ -258,7 +259,8 @@ class Profile:
 
     def __post_init__(self):
         probs = tuple(float(x) for x in self.probs)
-        _check_n(len(probs))
+        if not probs:
+            raise ValueError("profile needs at least one agent")
         for i, x in enumerate(probs):
             if not (0.0 <= x < 1.0):
                 raise ValueError(f"p[{i}]={x} outside [0, 1)")
@@ -434,7 +436,6 @@ class LuceSpec:
         n = len(flat)
         if sorted(flat) != list(range(n)):
             raise ValueError("partition must cover agents 0..n-1 exactly once")
-        _check_n(n)
         weights = np.array([float(w) for w in self.weights])
         if weights.size != n:
             raise ValueError(f"need {n} weights, got {weights.size}")

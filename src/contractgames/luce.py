@@ -3,15 +3,26 @@
 Given an interior profile passing the subset inequality, the implementing
 contract is reconstructed in three steps: the budget comes from the exact
 formula sum_i p_i c_i'(p_i) / P[S nonempty]; the priority tiers are read off
-the chain of tight subsets; and the within-tier weights are solved by a
-damped multiplicative fixed-point iteration on the expanded contract's best
-responses. A perturbation harness then checks that no other spec reproduces
+the chain of tight subsets; and the within-tier weights solve each tier's
+first-order conditions r_i = c_i'(p_i) by Newton's method on log-weights,
+one tier at a time, since lower tiers never move a higher tier's gains.
+
+No 2^n table is built. By the exponential-race form of Luce choice, agent i
+of tier k gains
+
+    r_i = budget * prod_{j in higher tiers} (1 - p_j)
+          * int_0^inf w_i e^{-t w_i} prod_{j in tier k, j != i} (1 - p_j + p_j e^{-t w_j}) dt,
+
+which the trapezoid rule in x = log t evaluates on nodes shared by the whole
+tier: O(L m) for the gains of m agents on L nodes, O(L m^2) for their
+Jacobian. A perturbation harness then checks that no other spec reproduces
 the same profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +35,7 @@ from .core import (
     mask_agents,
     require_interior,
 )
-from .equilibrium import SolverOptions, _Workspace, _best_responses, find_equilibria
+from .equilibrium import SolverOptions, find_equilibria
 from .errors import (
     InconsistentTightSets,
     NoConvergence,
@@ -33,9 +44,21 @@ from .errors import (
 )
 from .maximal import TIGHT_TOL, ConditionReport, luce_condition
 
-# Per-sweep multiplicative weight updates are clipped to this band to prevent
-# overshoot; the fixed point itself is unaffected.
-_RATIO_CLIP = (0.5, 2.0)
+# Trapezoid rule in x = log t on [_LOG_T_MIN, log(_T_TAIL / min w)], weights
+# scaled to a maximum of 1. The integrand is analytic in a strip about the
+# real x axis, so step 0.2 is accurate to rounding; the cut-off tails hold
+# at most e^-38 (about 3e-17) and 60 e^-60 of each gain.
+_QUAD_STEP = 0.2
+_LOG_T_MIN = -38.0
+_T_TAIL = 60.0
+# Newton stops once every gain is within this relative error of its target,
+# or when halving the step this many times no longer reduces the error.
+_GAIN_RTOL = 1e-13
+_MAX_HALVINGS = 10
+# A log-gain is a sigmoid in log-weight differences, so its linearization
+# holds over distances of order one only: longer Newton steps are scaled
+# down to this max-norm before the halving test.
+_MAX_LOG_STEP = 2.0
 
 
 @dataclass(frozen=True)
@@ -89,16 +112,84 @@ def derive_partition(report: ConditionReport) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
+def _tier_gains(w: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E[w_i / (w_i + W_i)] for each agent of one tier, and its Jacobian in log w.
+
+    W_i is the summed weight of the tier's other successful agents. Only
+    weight ratios matter, so the weights are rescaled to a maximum of 1.
+    """
+    w = w / w.max()
+    x = np.arange(_LOG_T_MIN, np.log(_T_TAIL / w.min()), _QUAD_STEP)
+    tw = np.exp(x)[:, None] * w
+    decay = np.exp(-tw)
+    shrink = p * np.expm1(-tw)
+    log_g = np.log1p(shrink)  # g_j(t) = E[e^{-t w_j B_j}] = 1 - p_j + p_j e^{-t w_j}
+    integrand = tw * decay * np.exp(log_g.sum(axis=1, keepdims=True) - log_g)
+    gains = _QUAD_STEP * integrand.sum(axis=0)
+    jac = _QUAD_STEP * (integrand.T @ (-p * tw * decay / (1.0 + shrink)))
+    np.fill_diagonal(jac, _QUAD_STEP * np.einsum("lm,lm->m", integrand, 1.0 - tw))
+    return gains, jac
+
+
+def _luce_gains(partition: Sequence[Sequence[int]], weights: np.ndarray, p: np.ndarray,
+                budget: float = 1.0) -> np.ndarray:
+    """Every agent's marginal gain under the Luce contract, without its table."""
+    r = np.empty(len(p))
+    above = budget  # budget times P[no agent of a higher tier succeeds]
+    for block in partition:
+        idx = list(block)
+        r[idx] = above * _tier_gains(weights[idx], p[idx])[0]
+        above *= float(np.prod(1.0 - p[idx]))
+    return r
+
+
+def _solve_tier(log_w: np.ndarray, p: np.ndarray, target: np.ndarray,
+                max_steps: int) -> np.ndarray:
+    """Newton on one tier's log-weights for _tier_gains(w, p) = target.
+
+    Scaling every weight leaves the gains unchanged, and the gains satisfy
+    one linear identity (sum_i p_i gain_i = P[some tier agent succeeds]), so
+    each step holds the largest weight fixed and solves the m equations in
+    the other m - 1 unknowns by least squares. A step longer than
+    _MAX_LOG_STEP is shortened, and one that does not reduce the error norm
+    is halved.
+    """
+    gains, jac = _tier_gains(np.exp(log_w), p)
+    err = np.log(gains / target)
+    for _ in range(max_steps):
+        if len(p) == 1 or np.max(np.abs(err)) <= _GAIN_RTOL:
+            break
+        free = np.arange(len(p)) != np.argmax(log_w)
+        step = np.linalg.lstsq(jac[:, free] / gains[:, None], -err, rcond=None)[0]
+        step *= min(1.0, _MAX_LOG_STEP / np.max(np.abs(step)))
+        norm = np.linalg.norm(err)
+        for _ in range(_MAX_HALVINGS + 1):
+            trial = log_w.copy()
+            trial[free] += step
+            trial -= trial.max()
+            t_gains, t_jac = _tier_gains(np.exp(trial), p)
+            t_err = np.log(t_gains / target)
+            if np.linalg.norm(t_err) < norm:
+                break
+            step /= 2.0
+        else:
+            break
+        log_w, gains, jac, err = trial, t_gains, t_jac, t_err
+    return log_w
+
+
 def synthesize_luce(p: ProfileLike, costs: CostModel, tolerance: float = 1e-10,
                     max_iterations: int = 10_000, tight_tol: float = TIGHT_TOL) -> SynthesisResult:
     """Construct the unique tiered-weights contract implementing p.
 
-    Raises NotLuceImplementable when the subset inequality fails, and
-    NoConvergence (carrying the best residual) if the within-tier weight
-    iteration cannot drive the equilibrium residual at p below `tolerance`.
+    The weights of each tier come from at most `max_iterations` Newton
+    steps, started from weights proportional to each agent's expected spend
+    p_i c_i'(p_i). `residual` is max_i |BR_i(p) - p_i| under the returned
+    contract, from the table-free gains. Raises NotLuceImplementable when
+    the subset inequality fails, and NoConvergence (carrying the residual)
+    when that residual exceeds `tolerance`.
     """
     prof = require_interior(as_profile(p, costs.n))
-    n = prof.n
     report = luce_condition(prof, costs, tight_tol)
     if not report.holds:
         raise NotLuceImplementable(
@@ -110,60 +201,25 @@ def synthesize_luce(p: ProfileLike, costs: CostModel, tolerance: float = 1e-10,
     partition = derive_partition(report)
     arr = prof.as_array()
     target = costs.marginal_vec(arr)
-
-    def evaluate(log_weights: np.ndarray):
-        spec = LuceSpec(partition, tuple(np.exp(log_weights)))
-        contract = expand_luce(spec, n, budget)
-        b = _best_responses(_Workspace(contract), arr, costs)
-        return spec, b, float(np.max(np.abs(b - arr)))
-
-    def centered(log_weights: np.ndarray) -> np.ndarray:
-        out = log_weights.copy()
-        for block in partition:
-            idx = list(block)
-            out[idx] -= out[idx].max()
-        return out
-
-    # Warm start: weights proportional to each agent's expected spend.
     log_w = np.log(arr * target)
-    best_residual = np.inf
-    eta = 1.0  # damping exponent on the multiplicative update
-    prev_residual = np.inf
-    prev_delta = None
-    settled = 0
-    for _ in range(max_iterations):
-        spec, b, residual = evaluate(log_w)
-        best_residual = min(best_residual, residual)
-        if residual <= tolerance:
-            return SynthesisResult(spec, budget, residual, report.tight_sets)
-        if residual > prev_residual:
-            eta = 0.5
-        prev_residual = residual
-        ratios = np.clip(target / np.maximum(costs.marginal_vec(b), 1e-300), *_RATIO_CLIP)
-        delta = eta * np.log(ratios)
-        log_w = centered(log_w + delta)
-        settled += 1
-        if prev_delta is not None and settled >= 8:
-            # Near-degenerate weights decay geometrically and slowly; estimate
-            # the per-component decay rate and complete the geometric series,
-            # keeping the jump only when it actually tightens the residual.
-            safe = np.abs(prev_delta) > 1e-14
-            rho = np.clip(np.where(safe, delta / np.where(safe, prev_delta, 1.0), 0.0),
-                          -0.5, 0.98)
-            jump = delta * rho / (1.0 - rho)
-            _, _, jumped_residual = evaluate(centered(log_w + jump))
-            if jumped_residual < residual:
-                log_w = centered(log_w + jump)
-                prev_residual = jumped_residual
-            settled = 0
-            prev_delta = None
-        else:
-            prev_delta = delta
-    raise NoConvergence(
-        f"weight iteration did not reach residual {tolerance:.1g} within "
-        f"{max_iterations} sweeps (best {best_residual:.3g})",
-        best_residual=best_residual,
-    )
+    above = budget
+    for block in partition:
+        idx = list(block)
+        log_w[idx] = _solve_tier(log_w[idx] - log_w[idx].max(), arr[idx],
+                                 target[idx] / above, max_iterations)
+        above *= float(np.prod(1.0 - arr[idx]))
+    weights = np.exp(log_w)
+    r = _luce_gains(partition, weights, arr, budget)
+    b = costs.inverse_marginal_vec(np.minimum(r, costs.marginal_at_one()))
+    residual = float(np.max(np.abs(b - arr)))
+    if not residual <= tolerance:
+        raise NoConvergence(
+            f"Newton on the tier weights did not reach residual {tolerance:.1g} within "
+            f"{max_iterations} steps per tier (reached {residual:.3g})",
+            best_residual=residual,
+        )
+    return SynthesisResult(LuceSpec(partition, tuple(weights)), budget, residual,
+                           report.tight_sets)
 
 
 def _random_ordered_partition(n: int, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:

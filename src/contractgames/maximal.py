@@ -3,18 +3,24 @@
 The key scalar is z(p) = sum_i p_i c_i'(p_i) + prod_i (1 - p_i). Any profile
 implementable with a unit budget has z(p) <= 1, with equality exactly when
 the implementing contract hands out the whole budget on every nonempty
-outcome. The subset inequality compared here for every nonempty I,
+outcome. The subset inequality, for every nonempty I,
 
     sum_{i in I} p_i c_i'(p_i) / sum_i p_i c_i'(p_i)
         <= P[S meets I] / P[S nonempty],
 
 characterizes the profiles a Luce contract can implement; its equality cases
-(the tight sets) chain into the priority partition.
+(the tight sets) chain into the priority partition. It is checked on n
+subsets only. With s_i = p_i c_i'(p_i), q_i = -log(1 - p_i) and totals S, Q,
+it reads S_I / S <= g(Q_I) for g(x) = (1 - e^-x) / (1 - e^-Q). g is concave,
+hence the minimum of its tangents a + l x, and swapping the minimizations
+over I and over the tangent slope l shows that the worst subset is a prefix
+of the agents sorted by s_i / q_i in descending order.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -37,11 +43,14 @@ TIGHT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of checking the subset inequality on every nonempty subset.
+    """Outcome of checking the subset inequality on the sorted prefixes.
 
-    `worst_subset` is the mask maximizing lhs - rhs, with the two sides
-    recorded for it; `tight_sets` lists the masks where equality holds within
-    tolerance and always contains the full set.
+    `worst_subset` is the mask maximizing lhs - rhs over all nonempty
+    subsets (always a prefix of the s_i / q_i order), with the two sides
+    recorded for it. `tight_sets` lists the prefixes where equality holds
+    within tolerance, smallest first; it always contains the full set, and
+    a prefix that would split agents whose ratios tie within tolerance is
+    left out, so the list is a chain.
     """
 
     n: int
@@ -50,22 +59,6 @@ class ConditionReport:
     lhs: float
     rhs: float
     tight_sets: tuple[int, ...]
-
-
-def _subset_sums(values: np.ndarray) -> np.ndarray:
-    """sums[mask] = sum of values[i] over i in mask, for all masks."""
-    sums = np.zeros(1)
-    for v in values:
-        sums = np.concatenate([sums, sums + v])
-    return sums
-
-
-def _fail_products(p: np.ndarray) -> np.ndarray:
-    """prods[mask] = prod of (1 - p_i) over i in mask, for all masks."""
-    prods = np.ones(1)
-    for pi in p:
-        prods = np.concatenate([prods, prods * (1.0 - pi)])
-    return prods
 
 
 def z_value(p: ProfileLike, costs: CostModel) -> float:
@@ -85,27 +78,34 @@ def implementability_necessary(p: ProfileLike, costs: CostModel, tol: float = TI
 
 
 def luce_condition(p: ProfileLike, costs: CostModel, tol: float = TIGHT_TOL) -> ConditionReport:
-    """Evaluate the subset inequality for every nonempty subset of agents."""
+    """Evaluate the subset inequality on the n prefixes of the s_i / q_i order.
+
+    The worst subset is one of them, so `holds` is exact in O(n log n).
+    Agents whose ratios agree within relative `tol` are kept together. When
+    the inequality holds, no tight set separates agents of equal ratio:
+    they add nothing to the tangent bound the set meets, so moving one of
+    them across would give a subset that violates the inequality.
+    """
     prof = require_interior(as_profile(p, costs.n))
-    n = prof.n
     arr = prof.as_array()
     spend = arr * costs.marginal_vec(arr)
-    sums = _subset_sums(spend)
-    fails = _fail_products(arr)
-    full = (1 << n) - 1
-    lhs = sums[1:] / sums[full]
-    rhs = (1.0 - fails[1:]) / (1.0 - fails[full])
+    fail_rate = -np.log1p(-arr)
+    ratio = spend / fail_rate
+    order = np.argsort(-ratio, kind="stable")
+    lhs = np.cumsum(spend[order])
+    lhs /= lhs[-1]
+    hit = -np.expm1(-np.cumsum(fail_rate[order]))  # P[S meets the prefix]
+    rhs = hit / hit[-1]
     diff = lhs - rhs
+    masks = list(itertools.accumulate((1 << int(i) for i in order), operator.or_))
     worst = int(np.argmax(diff))
-    holds = bool(diff[worst] <= tol)
-    tight = tuple(
-        int(m) + 1 for m in np.nonzero(np.abs(diff) <= tol)[0]
-    )
-    tight = tuple(sorted(tight, key=lambda m: (bin(m).count("1"), m)))
+    sorted_ratio = ratio[order]
+    group_end = np.append(sorted_ratio[1:] < sorted_ratio[:-1] * (1.0 - tol), True)
+    tight = tuple(masks[k] for k in np.flatnonzero(group_end & (np.abs(diff) <= tol)))
     return ConditionReport(
-        n=n,
-        holds=holds,
-        worst_subset=worst + 1,
+        n=prof.n,
+        holds=bool(diff[worst] <= tol),
+        worst_subset=masks[worst],
         lhs=float(lhs[worst]),
         rhs=float(rhs[worst]),
         tight_sets=tight,

@@ -19,10 +19,10 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import bisect, minimize
 
-from .core import Contract, CostModel, LuceSpec, Profile, expand_luce
+from .core import MAX_AGENTS, Contract, CostModel, LuceSpec, Profile, expand_luce
 from .equilibrium import SolverOptions, find_equilibria
 from .errors import ContractGameError, NoConvergence, ObjectiveNotIncreasing, ParameterOutOfRange
-from .luce import synthesize_luce
+from .luce import required_budget, synthesize_luce
 
 _STARTS = 8
 # Cuts are added until the most violated prefix has slack >= -_CUT_TOL.
@@ -34,7 +34,6 @@ _ACCEPT_TOL = 1e-10
 # Prefixes this close to tight are made exactly tight before synthesis, so
 # the tight chain it reads off is not broken by rounding.
 _SNAP_TOL = 1e-7
-_FALLBACK_SNAP_TOL = 1e-4
 # Profiles stay this far inside (0, 1): synthesis needs interior profiles,
 # and the constraints take log(1 - p).
 _EDGE = 1e-6
@@ -69,13 +68,19 @@ class Objective:
 @dataclass(frozen=True)
 class Optimum:
     """The optimal contract and its equilibrium. `search_trace` counts the local
-    solver's objective evaluations, `failed_starts` the starts that failed."""
+    solver's objective evaluations, `failed_starts` the starts that failed.
+
+    The contract is `expand_luce(spec, n, budget)`. `budget` is 1 up to
+    rounding when the objective is increasing, and below 1 when an optimum
+    with z(p) < 1 needs less than the whole budget.
+    """
 
     spec: LuceSpec
     equilibrium: Profile
     value: float
     search_trace: int
     failed_starts: int = 0
+    budget: float = 1.0
 
 
 def _probe_increasing(objective: Objective, n: int) -> None:
@@ -158,11 +163,18 @@ class _ProfileSearch:
         """
         k = 1 + len(self.cuts)
         masks = np.vstack([self.cuts, equal])
-        constraints = [{"type": "ineq", "fun": lambda p: self.rows(p, masks)[0][:k],
-                        "jac": lambda p: self.rows(p, masks)[1][:k]}]
+        last: list = [None, None]  # the solver asks for values and Jacobian separately
+
+        def rows(p):
+            if last[0] is None or not np.array_equal(last[0], p):
+                last[:] = p.copy(), self.rows(p, masks)
+            return last[1]
+
+        constraints = [{"type": "ineq", "fun": lambda p: rows(p)[0][:k],
+                        "jac": lambda p: rows(p)[1][:k]}]
         if len(equal):
-            constraints.append({"type": "eq", "fun": lambda p: self.rows(p, masks)[0][k:],
-                                "jac": lambda p: self.rows(p, masks)[1][k:]})
+            constraints.append({"type": "eq", "fun": lambda p: rows(p)[0][k:],
+                                "jac": lambda p: rows(p)[1][k:]})
         bounds = [(_EDGE, 1.0 - _EDGE)] * self.n
         if self.objective.kind == "linear":
             w = np.array(self.objective.weights) / sum(self.objective.weights)
@@ -176,7 +188,7 @@ class _ProfileSearch:
         self.evals += int(res.nfev)
         p = np.clip(res.x, _EDGE, 1.0 - _EDGE)
         for _ in range(2):
-            values, jac = self.rows(p, masks)
+            values, jac = rows(p)
             active = values < 0.0
             active[k:] = True
             if not np.all(np.isfinite(values)) or not active.any():
@@ -204,23 +216,18 @@ class _ProfileSearch:
         """The Luce spec implementing p after its near-tight prefixes are held tight.
 
         Prefixes within _SNAP_TOL of tight are snapped, and the snap is kept
-        if feasible and no worse. If synthesis fails (within-tier weights
-        below about 1e-4 stall it), a snap at _FALLBACK_SNAP_TOL gives up a
-        little value to reach a contract.
+        if feasible and no worse. Returns None when synthesis fails.
         """
         masks, values = self.prefixes(p)
+        near = masks[values[1:] <= _SNAP_TOL]
+        q = self.local(p, np.vstack([equal, near])) if len(near) else p
         value = self.objective.value(p)
-        for tol, floor in ((_SNAP_TOL, value - 1e-12 * max(1.0, abs(value))),
-                           (_FALLBACK_SNAP_TOL, -np.inf)):
-            near = masks[values[1:] <= tol]
-            q = self.local(p, np.vstack([equal, near])) if len(near) else p
-            if not self.feasible(q) or self.objective.value(q) < floor:
-                q = p
-            try:
-                return synthesize_luce(q, self.costs).spec, q
-            except ContractGameError:
-                continue
-        return None
+        if not self.feasible(q) or self.objective.value(q) < value - 1e-12 * max(1.0, abs(value)):
+            q = p
+        try:
+            return synthesize_luce(q, self.costs).spec, q
+        except ContractGameError:
+            return None
 
 
 def _starts(costs: CostModel, rng: np.random.Generator) -> list[np.ndarray]:
@@ -253,17 +260,21 @@ def optimize_principal(objective: Objective, costs: CostModel,
 
     Runs the cutting-plane search from each start (drawn with `seed`) and
     ranks the results that pass the feasibility check. For the best one,
-    `synthesize_luce` recovers the contract and `find_equilibria` re-solves
-    it under `solver`; the returned equilibrium is the converged one nearest
-    the optimal profile, and `value` is the objective there. A result that
-    cannot be synthesized counts as a failed start, and the next is tried.
+    `synthesize_luce` recovers the contract and its budget, and
+    `find_equilibria` re-solves it under `solver`; the returned equilibrium
+    is the converged one nearest the optimal profile, and `value` is the
+    objective there. A result that cannot be synthesized counts as a failed
+    start, and the next is tried.
 
     `partitions` limits the search to the given ordered partitions by
     holding each one's unions B1, B1 u B2, ... tight; an optimum on the edge
     of that family can come back as a finer partition. Raises NoConvergence
-    when no start yields a contract.
+    when no start yields a contract, and ValueError for more than
+    MAX_AGENTS agents, since the starts and the re-solve use 2^n tables.
     """
     n = costs.n
+    if n > MAX_AGENTS:
+        raise ValueError(f"optimize_principal handles at most {MAX_AGENTS} agents, got {n}")
     _probe_increasing(objective, n)
     search = _ProfileSearch(objective, costs)
     chains = [np.zeros((0, n))] if partitions is None else [_chain(b, n) for b in partitions]
@@ -282,12 +293,13 @@ def optimize_principal(objective: Objective, costs: CostModel,
         made = search.contract(p, equal)
         if made is not None:
             spec, p = made
-            results = [r for r in find_equilibria(expand_luce(spec, n), costs, solver,
+            budget = required_budget(p, costs)
+            results = [r for r in find_equilibria(expand_luce(spec, n, budget), costs, solver,
                                                   initial_profiles=(p,)) if r.converged]
             if results:
                 best = min(results, key=lambda r: float(np.max(np.abs(r.profile.as_array() - p))))
                 return Optimum(spec, best.profile, objective.value(best.profile.probs),
-                               search.evals, failed)
+                               search.evals, failed, budget)
         failed += 1
     raise NoConvergence(f"none of {failed} starts produced a feasible, synthesizable optimum")
 

@@ -39,29 +39,31 @@ class PaymentDistribution:
 
     @classmethod
     def from_atoms(cls, atoms: Iterable[tuple[float, float]]) -> "PaymentDistribution":
-        """Build from (value, probability) pairs, merging values within 1e-12."""
-        pairs = sorted((float(v), float(q)) for v, q in atoms)
-        if any(q < 0 for _, q in pairs):
+        """Build from (value, probability) pairs, or an (k, 2) array of them.
+
+        Zero-mass atoms are dropped. After sorting, each run of values whose
+        consecutive gaps are at most 1e-12 merges into one atom at the run's
+        probability-weighted mean value.
+        """
+        pairs = np.asarray(atoms if isinstance(atoms, np.ndarray) else list(atoms),
+                           dtype=float).reshape(-1, 2)
+        if np.any(pairs[:, 1] < 0):
             raise ValueError("atom probabilities must be nonnegative")
-        merged: list[tuple[float, float]] = []
-        for v, q in pairs:
-            if q == 0.0:
-                continue
-            if merged and v - merged[-1][0] <= _ATOM_MERGE_TOL:
-                v0, q0 = merged[-1]
-                merged[-1] = ((v0 * q0 + v * q) / (q0 + q), q0 + q)
-            else:
-                merged.append((v, q))
-        if not merged:
+        pairs = pairs[pairs[:, 1] != 0.0]
+        if not len(pairs):
             raise ValueError("distribution needs at least one atom with mass")
-        total = sum(q for _, q in merged)
+        v, q = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
+        starts = np.flatnonzero(np.diff(v, prepend=-np.inf) > _ATOM_MERGE_TOL)
+        mass = np.add.reduceat(q, starts)
+        first = v[starts]
+        offset = v - np.repeat(first, np.diff(starts, append=len(v)))
+        values = first + np.add.reduceat(offset * q, starts) / mass
+        total = float(mass.sum())
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        values = tuple(v for v, _ in merged)
-        probs = tuple(q for _, q in merged)
-        mean = sum(v * q for v, q in merged)
-        variance = sum((v - mean) ** 2 * q for v, q in merged)
-        return cls(values, probs, mean, variance)
+        mean = float(values @ mass)
+        variance = float((values - mean) ** 2 @ mass)
+        return cls(tuple(values.tolist()), tuple(mass.tolist()), mean, variance)
 
     @property
     def max_payment(self) -> float:
@@ -79,7 +81,7 @@ def payment_distribution(f: Contract, p: ProfileLike) -> PaymentDistribution:
     prof = as_profile(p, f.n)
     probs = outcome_probabilities(prof)
     totals = f.total_shares() * f.budget
-    return PaymentDistribution.from_atoms(zip(totals, probs))
+    return PaymentDistribution.from_atoms(np.column_stack((totals, probs)))
 
 
 def implementing_fgn_samples(q: ProfileLike, costs: CostModel, count: int,

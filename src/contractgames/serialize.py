@@ -140,6 +140,7 @@ def optimum_to_dict(opt: Optimum) -> dict:
         "value": opt.value,
         "search_trace": opt.search_trace,
         "failed_starts": opt.failed_starts,
+        "budget": opt.budget,
     }
 
 

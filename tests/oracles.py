@@ -7,7 +7,9 @@ linear solve of the first-order conditions. Contract tables are filled by
 loops over outcome masks, and the fixed-point iteration runs one start at a
 time, as the library did before those paths were vectorised. The principal's
 problem is solved by the library's former search over contract weights:
-every ordered partition, a weight grid per partition, then Nelder-Mead.
+every ordered partition, a weight grid per partition, then Nelder-Mead. The
+subset inequality is checked on all 2^n - 1 subsets, and Luce weights come
+from the library's former damped multiplicative iteration on 2^n tables.
 """
 
 import itertools
@@ -15,8 +17,16 @@ import itertools
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from contractgames.core import LuceSpec, expand_luce, mask_agents, subset_mask
-from contractgames.equilibrium import _OSCILLATION_WINDOW, _best_responses, find_equilibria
+from contractgames.core import LuceSpec, as_profile, expand_luce, mask_agents, subset_mask
+from contractgames.equilibrium import (
+    _OSCILLATION_WINDOW,
+    _best_responses,
+    _Workspace,
+    find_equilibria,
+)
+from contractgames.errors import NoConvergence
+from contractgames.luce import derive_partition, required_budget
+from contractgames.maximal import TIGHT_TOL, ConditionReport
 
 
 def all_outcomes(n):
@@ -262,3 +272,113 @@ def partition_search_optimum(objective, costs, solver, grid_resolution=12, resta
                      options={"initial_simplex": simplex, "xatol": 1e-8,
                               "fatol": 1e-12, "maxiter": 400 * dims})
     return best
+
+
+def subset_sums(values):
+    """sums[mask] = sum of values[i] over i in mask, for all masks."""
+    sums = np.zeros(1)
+    for v in values:
+        sums = np.concatenate([sums, sums + v])
+    return sums
+
+
+def fail_products(p):
+    """prods[mask] = prod of (1 - p_i) over i in mask, for all masks."""
+    prods = np.ones(1)
+    for pi in p:
+        prods = np.concatenate([prods, prods * (1.0 - pi)])
+    return prods
+
+
+def luce_condition_brute(p, costs, tol=TIGHT_TOL):
+    """The subset inequality on every nonempty subset, as a ConditionReport.
+
+    Ties in lhs - rhs go to the smallest mask, and every subset within `tol`
+    of equality is reported as tight.
+    """
+    arr = as_profile(p, costs.n).as_array()
+    n = len(arr)
+    sums = subset_sums(arr * costs.marginal_vec(arr))
+    fails = fail_products(arr)
+    full = (1 << n) - 1
+    lhs = sums[1:] / sums[full]
+    rhs = (1.0 - fails[1:]) / (1.0 - fails[full])
+    diff = lhs - rhs
+    worst = int(np.argmax(diff))
+    tight = sorted((int(m) + 1 for m in np.nonzero(np.abs(diff) <= tol)[0]),
+                   key=lambda m: (bin(m).count("1"), m))
+    return ConditionReport(n=n, holds=bool(diff[worst] <= tol), worst_subset=worst + 1,
+                           lhs=float(lhs[worst]), rhs=float(rhs[worst]),
+                           tight_sets=tuple(tight))
+
+
+def synthesize_luce_iteration(p, costs, tolerance=1e-10, max_iterations=10_000):
+    """The Luce spec implementing p, weights by a damped multiplicative iteration.
+
+    Tiers come from the 2^n subset check. Each sweep expands the full
+    contract table, rescales every weight by c_i'(p_i) / c_i'(BR_i(p))
+    (clipped to [0.5, 2], halved in log after a residual rise) and, every
+    eighth sweep, tries a geometric extrapolation of the log-weight steps.
+    """
+    arr = as_profile(p, costs.n).as_array()
+    n = len(arr)
+    partition = derive_partition(luce_condition_brute(arr, costs))
+    budget = required_budget(arr, costs)
+    target = costs.marginal_vec(arr)
+
+    def evaluate(log_weights):
+        spec = LuceSpec(partition, tuple(np.exp(log_weights)))
+        b = _best_responses(_Workspace(expand_luce(spec, n, budget)), arr, costs)
+        return spec, b, float(np.max(np.abs(b - arr)))
+
+    def centered(log_weights):
+        out = log_weights.copy()
+        for block in partition:
+            out[list(block)] -= out[list(block)].max()
+        return out
+
+    log_w = np.log(arr * target)
+    eta, prev_residual, prev_delta, settled = 1.0, np.inf, None, 0
+    for _ in range(max_iterations):
+        spec, b, residual = evaluate(log_w)
+        if residual <= tolerance:
+            return spec
+        if residual > prev_residual:
+            eta = 0.5
+        prev_residual = residual
+        ratios = np.clip(target / np.maximum(costs.marginal_vec(b), 1e-300), 0.5, 2.0)
+        delta = eta * np.log(ratios)
+        log_w = centered(log_w + delta)
+        settled += 1
+        if prev_delta is not None and settled >= 8:
+            safe = np.abs(prev_delta) > 1e-14
+            rho = np.clip(np.where(safe, delta / np.where(safe, prev_delta, 1.0), 0.0),
+                          -0.5, 0.98)
+            jump = centered(log_w + delta * rho / (1.0 - rho))
+            if evaluate(jump)[2] < residual:
+                log_w = jump
+                prev_residual = evaluate(jump)[2]
+            settled, prev_delta = 0, None
+        else:
+            prev_delta = delta
+    raise NoConvergence("multiplicative weight iteration did not converge")
+
+
+def from_atoms_loop(atoms, merge_tol=1e-12):
+    """(values, probs, mean, variance) of a payment distribution, one atom at a time.
+
+    Zero-mass atoms are skipped; an atom within `merge_tol` of the running
+    merged value joins it at the probability-weighted mean.
+    """
+    merged = []
+    for v, q in sorted((float(v), float(q)) for v, q in atoms):
+        if q == 0.0:
+            continue
+        if merged and v - merged[-1][0] <= merge_tol:
+            v0, q0 = merged[-1]
+            merged[-1] = ((v0 * q0 + v * q) / (q0 + q), q0 + q)
+        else:
+            merged.append((v, q))
+    mean = sum(v * q for v, q in merged)
+    variance = sum((v - mean) ** 2 * q for v, q in merged)
+    return [v for v, _ in merged], [q for _, q in merged], mean, variance

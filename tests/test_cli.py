@@ -70,6 +70,19 @@ def test_check_accepts_implementable_profile(capsys):
     assert doc["condition"]["tight_sets"] == [[1, 2]]
 
 
+@pytest.mark.parametrize("command", ["check", "synthesize"])
+def test_check_and_synthesize_beyond_the_table_cap(capsys, command):
+    n = 50
+    code, out, _ = run_cli(
+        capsys, command, "--profile", ",".join(["0.01"] * n),
+        "--costs", ",".join(["power:2:2"] * n),
+    )
+    assert code == 0
+    doc = json.loads(out)
+    chain = doc["condition"]["tight_sets"] if command == "check" else doc["tight_chain"]
+    assert chain == [list(range(1, n + 1))]
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 # ---------------------------------------------------------------------------
@@ -175,6 +188,7 @@ def test_optimize_reports_search_counts(capsys):
     doc = json.loads(out)
     assert doc["failed_starts"] == 0
     assert doc["search_trace"] > 0
+    assert doc["budget"] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("argv", [

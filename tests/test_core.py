@@ -153,6 +153,20 @@ def test_cost_model_vector_paths_match_scalar():
 # Profiles and contracts
 # ---------------------------------------------------------------------------
 
+def test_agent_cap_applies_only_to_outcome_tables():
+    n = 50
+    costs = CostModel.power([2.0] * n)
+    assert costs.n == n
+    assert Profile((0.1,) * n).n == n
+    assert LuceSpec.single_block((1.0,) * n).n == n
+    with pytest.raises(ValueError, match="1..20"):
+        Contract(21, np.zeros((1, 21)))
+    with pytest.raises(ValueError, match="1..20"):
+        outcome_probabilities((0.1,) * 21)
+    with pytest.raises(ValueError):
+        Profile(())
+
+
 def test_profile_bounds():
     with pytest.raises(ValueError):
         Profile((0.5, 1.0))

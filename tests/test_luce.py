@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractgames import (
     ConditionReport,
@@ -7,6 +9,7 @@ from contractgames import (
     DegenerateProfile,
     InconsistentTightSets,
     LuceSpec,
+    NoConvergence,
     NotLuceImplementable,
     SolverOptions,
     best_response,
@@ -18,8 +21,13 @@ from contractgames import (
     marginal_gain,
     required_budget,
     synthesize_luce,
+    two_agent_equilibrium,
     verify_uniqueness,
 )
+from contractgames.equilibrium import _marginal_gains, _Workspace
+from contractgames.luce import _luce_gains, _tier_gains
+
+import oracles
 
 QUAD22 = CostModel.power([2, 2])
 
@@ -155,6 +163,111 @@ def test_block_decoupling_lower_tiers_do_not_move_marginal_gain():
     assert moved == pytest.approx(base, abs=1e-12)
     # but a same-tier change does move it
     assert marginal_gain(0, f, (0.3, 0.8, 0.2, 0.6)) != pytest.approx(base, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# table-free gains and Newton synthesis
+# ---------------------------------------------------------------------------
+
+@st.composite
+def tiered_games(draw, n_max=12):
+    """(spec, p, budget): 1-3 tiers, log-weights in [-8, 8], p in [0.001, 0.95]."""
+    n = draw(st.integers(1, n_max))
+    order = draw(st.permutations(range(n)))
+    tiers = draw(st.integers(1, min(3, n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=tiers - 1,
+                               max_size=tiers - 1))) if n > 1 else []
+    blocks = tuple(tuple(b) for b in np.split(np.array(order), cuts))
+    log_w = draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n))
+    p = draw(st.lists(st.floats(0.001, 0.95), min_size=n, max_size=n))
+    budget = draw(st.floats(0.25, 4.0))
+    return LuceSpec(blocks, tuple(np.exp(log_w))), np.array(p), budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiered_games())
+def test_quadrature_gains_match_the_table(game):
+    spec, p, budget = game
+    table = _marginal_gains(_Workspace(expand_luce(spec, spec.n, budget)), p)
+    ours = _luce_gains(spec.partition, np.array(spec.weights), p, budget)
+    assert np.max(np.abs(ours - table)) <= 1e-12
+
+
+def test_tier_gain_jacobian_matches_central_differences():
+    rng = np.random.default_rng(17)
+    for m in (1, 2, 5, 9):
+        log_w, p = rng.uniform(-8.0, 8.0, m), rng.uniform(0.001, 0.95, m)
+        _, jac = _tier_gains(np.exp(log_w), p)
+        h = 1e-6
+        numeric = np.column_stack([
+            (_tier_gains(np.exp(log_w + h * e), p)[0]
+             - _tier_gains(np.exp(log_w - h * e), p)[0]) / (2 * h)
+            for e in np.eye(m)])
+        assert np.max(np.abs(jac - numeric)) <= 1e-8
+        # rescaling every weight leaves the gains unchanged
+        assert np.max(np.abs(jac.sum(axis=1))) <= 1e-13
+
+
+def implementing_costs(spec, p, rng):
+    """Power costs under which p is the equilibrium of spec at a unit budget."""
+    exponents = rng.uniform(2.0, 3.0, len(p))
+    r = _luce_gains(spec.partition, np.array(spec.weights), p)
+    return CostModel.power(r / p ** (exponents - 1.0), exponents)
+
+
+def test_synthesize_matches_the_former_weight_iteration():
+    rng = np.random.default_rng(43)
+    for _ in range(8):
+        n = int(rng.integers(2, 7))
+        spec, _ = random_instance(rng, n)
+        p = rng.uniform(0.05, 0.6, n)
+        costs = implementing_costs(spec, p, rng)
+        ours = synthesize_luce(p, costs).spec
+        ref = oracles.synthesize_luce_iteration(p, costs)
+        assert ours.partition == ref.partition == spec.partition
+        assert ours.weights == pytest.approx(ref.weights, abs=1e-8)
+        assert ours.weights == pytest.approx(spec.weights, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1e-5, 1e-7])
+def test_synthesize_reaches_tiny_within_tier_weights(lam):
+    # The former iteration stalled on weights below about 1e-4.
+    result = synthesize_luce(two_agent_equilibrium(2, 2, lam), QUAD22)
+    assert result.spec.partition == ((0, 1),)
+    assert result.spec.weights[0] == pytest.approx(lam, rel=1e-5)
+    assert result.residual <= 1e-10
+
+
+def test_max_iterations_bounds_the_newton_steps():
+    p = (0.3, 0.15, 0.2)
+    costs = implementing_costs(LuceSpec.single_block((1.0, 0.2, 3.0)), np.array(p),
+                               np.random.default_rng(0))
+    with pytest.raises(NoConvergence) as err:
+        synthesize_luce(p, costs, max_iterations=0)
+    assert err.value.best_residual > 1e-10
+    assert synthesize_luce(p, costs, max_iterations=20).residual <= 1e-10
+
+
+def test_synthesize_symmetric_profile_at_200_agents():
+    n = 200
+    result = synthesize_luce((0.004,) * n, CostModel.power([2.0] * n))
+    assert result.spec.partition == (tuple(range(n)),)
+    assert result.spec.weights == pytest.approx((1 / n,) * n, rel=1e-12)
+    assert result.residual <= 1e-10
+
+
+def test_synthesize_recovers_a_two_tier_spec_at_200_agents():
+    rng = np.random.default_rng(200)
+    n = 200
+    order = [int(i) for i in rng.permutation(n)]
+    spec = LuceSpec((tuple(order[:60]), tuple(order[60:])), tuple(rng.uniform(0.5, 2.0, n)))
+    p = rng.uniform(0.002, 0.01, n)
+    costs = implementing_costs(spec, p, rng)
+    assert required_budget(p, costs) == pytest.approx(1.0, abs=1e-12)
+    result = synthesize_luce(p, costs)
+    assert result.spec.partition == spec.partition
+    assert result.spec.weights == pytest.approx(spec.weights, rel=1e-9)
+    assert result.residual <= 1e-10
 
 
 # ---------------------------------------------------------------------------

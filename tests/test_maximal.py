@@ -4,8 +4,11 @@ import pytest
 from contractgames import (
     CostModel,
     DegenerateProfile,
+    InconsistentTightSets,
+    LuceSpec,
     SolverOptions,
     brute_force_frontier,
+    derive_partition,
     dominated_by,
     equal_split,
     find_equilibria,
@@ -16,6 +19,7 @@ from contractgames import (
     subset_mask,
     z_value,
 )
+from contractgames.luce import _luce_gains
 
 import oracles
 
@@ -99,6 +103,63 @@ def test_luce_condition_matches_reference_on_random_interior_profiles():
             lhs, rhs = subset_sides(p, costs, members)
             violations.append(lhs - rhs)
         assert report.holds == (max(violations) <= 1e-9)
+
+
+def luce_game(rng, n, tied):
+    """An equilibrium p of a random Luce spec and power costs implementing it.
+
+    With `tied`, agents of a tier share one weight, one success probability
+    and one cost, so their s_i / q_i ratios tie exactly.
+    """
+    tier = np.sort(rng.integers(0, min(3, n), n))
+    blocks = tuple(tuple(int(i) for i in np.flatnonzero(tier == k)) for k in np.unique(tier))
+    if tied:
+        weights, p, expo = (rng.uniform(0.5, 2.0, 3)[tier], rng.uniform(0.01, 0.9, 3)[tier],
+                            rng.uniform(2.0, 3.0, 3)[tier])
+    else:
+        weights, p, expo = (np.exp(rng.uniform(-3.0, 3.0, n)), rng.uniform(0.01, 0.9, n),
+                            rng.uniform(2.0, 3.0, n))
+    r = _luce_gains(LuceSpec(blocks, tuple(weights)).partition, weights, p)
+    return p, CostModel.power(r / p ** (expo - 1.0), expo)
+
+
+@pytest.mark.parametrize("kind", ["random", "luce", "tied"])
+def test_prefix_check_matches_subset_enumeration(kind):
+    rng = np.random.default_rng(["random", "luce", "tied"].index(kind))
+    for _ in range(40):
+        n = int(rng.integers(1, 11))
+        if kind == "random":
+            p = rng.uniform(0.001, 0.95, n)
+            costs = CostModel.power(rng.uniform(1.5, 30.0, n), rng.uniform(2.0, 5.0, n))
+        else:
+            p, costs = luce_game(rng, n, tied=kind == "tied")
+        ours = luce_condition(p, costs)
+        ref = oracles.luce_condition_brute(p, costs)
+        assert ours.holds == ref.holds
+        assert ours.lhs - ours.rhs == pytest.approx(ref.lhs - ref.rhs, abs=1e-14)
+        assert ours.tight_sets == ref.tight_sets
+
+
+def test_tight_prefixes_keep_tied_agents_together():
+    # Agents 1 and 2 tie and succeed with probability 1e-11, so every subset
+    # between {0} and the full set is within 1e-9 of tight. The enumeration's
+    # tight sets are then no chain; the prefixes keep the tie in one tier.
+    p = np.array([0.3, 1e-11, 1e-11])
+    partition = ((0,), (1, 2))
+    costs = CostModel.power(_luce_gains(partition, np.ones(3), p) / p)
+    report = luce_condition(p, costs)
+    assert report.holds
+    assert report.tight_sets == (0b001, 0b111)
+    assert derive_partition(report) == partition
+    with pytest.raises(InconsistentTightSets):
+        derive_partition(oracles.luce_condition_brute(p, costs))
+
+
+def test_luce_condition_at_200_agents():
+    n = 200
+    report = luce_condition((0.004,) * n, CostModel.power([2.0] * n))
+    assert report.holds
+    assert report.tight_sets == ((1 << n) - 1,)
 
 
 # ---------------------------------------------------------------------------

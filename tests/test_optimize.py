@@ -10,6 +10,7 @@ from contractgames import (
     SolverOptions,
     TabulatedMonotone,
     brute_force_frontier,
+    equilibrium_residual,
     expand_luce,
     find_equilibria,
     lambda_thresholds,
@@ -296,14 +297,59 @@ def test_near_tight_prefix_is_snapped_before_synthesis(monkeypatch):
 
 
 def test_optimizer_just_past_corner_threshold_still_returns_contract():
-    # The optimal joint share here is about 1e-5, a weight synthesis cannot
-    # reach; the fallback snap trades a sliver of value for the corner.
+    # The optimal joint share here is about 1e-5, so agent 1's within-tier
+    # weight is about 1e-5; Newton synthesis reaches it directly.
     w = 0.4 + 1e-5
     lam = two_agent_optimal_lambda(2, 2, w)
     p1, p2 = two_agent_equilibrium(2, 2, lam)
     opt = optimize_principal(Objective.linear([w, 1]), QUAD22, seed=0)
     assert opt.value == pytest.approx(w * p1 + p2, abs=1e-9)
     assert opt.value <= w * p1 + p2 + 1e-12
+
+
+def test_non_increasing_objective_contract_implements_its_optimum():
+    # Maximizing -p_0 leaves z(p) < 1, so the contract needs less than the
+    # whole budget; at unit budget it would implement (0.4, 0.4) instead.
+    with pytest.warns(ObjectiveNotIncreasing):
+        opt = optimize_principal(Objective.custom(lambda p: -p[0]), QUAD22, seed=5)
+    assert opt.budget < 0.5
+    contract = expand_luce(opt.spec, 2, opt.budget)
+    assert equilibrium_residual(contract, opt.equilibrium, QUAD22) <= 1e-10
+    assert opt.value == pytest.approx(-opt.equilibrium[0], abs=1e-15)
+
+
+def test_increasing_objective_exhausts_the_budget():
+    opt = optimize_principal(Objective.linear([1, 2, 1]), CostModel.power([2, 2, 3]), seed=0)
+    assert opt.budget == pytest.approx(1.0, abs=1e-9)
+
+
+def test_optimizer_rejects_more_than_max_agents():
+    with pytest.raises(ValueError, match="at most 20 agents"):
+        optimize_principal(Objective.linear([1.0] * 21), CostModel.power([2.0] * 21))
+
+
+def test_local_solve_evaluates_each_point_once(monkeypatch):
+    # SLSQP asks for constraint values and Jacobian separately at one point.
+    running, solves = [], []
+    rows, local = optimize._ProfileSearch.rows, optimize._ProfileSearch.local
+
+    def recording_rows(self, p, masks):
+        if running:
+            running[-1].append(p.copy())
+        return rows(self, p, masks)
+
+    def recording_local(self, p0, equal):
+        running.append([])
+        try:
+            return local(self, p0, equal)
+        finally:
+            solves.append(running.pop())
+
+    monkeypatch.setattr(optimize._ProfileSearch, "rows", recording_rows)
+    monkeypatch.setattr(optimize._ProfileSearch, "local", recording_local)
+    optimize_principal(Objective.linear([1, 2, 1]), CostModel.power([2, 2, 3]), seed=0)
+    assert sum(len(points) for points in solves) > 50
+    assert not any(np.array_equal(p, q) for points in solves for p, q in zip(points, points[1:]))
 
 
 @pytest.mark.parametrize("partition", [((0,),), ((0,), (0, 1)), ((0,), (2,))])

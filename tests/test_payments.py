@@ -61,6 +61,42 @@ def test_distribution_respects_contract_budget():
     assert dist.max_payment == pytest.approx(result.budget, abs=1e-12)
 
 
+def _merge_cases(rng):
+    """Atom lists: payment atoms of random FGN tables, then clusters within 1e-12."""
+    from contractgames import Contract, outcome_probabilities
+
+    cases = [[(0.5, 0.25), (0.5 + 1e-13, 0.25), (0.0, 0.5)]]
+    for n in (1, 3, 6, 9):
+        member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        draws = rng.exponential(size=member.shape) * member
+        draws[1:] /= draws[1:].sum(axis=1, keepdims=True)
+        table = draws * rng.uniform(0.2, 0.95, (1 << n, 1))
+        f = Contract(n, table, budget=rng.uniform(0.5, 2.0))
+        probs = outcome_probabilities(rng.uniform(0.0, 0.95, n))
+        cases.append(list(zip(f.total_shares() * f.budget, probs)))
+    for size in (1, 5, 40):
+        centres = np.arange(size) * 0.37 + rng.uniform(0.0, 0.1)
+        per = rng.integers(1, 5, size)
+        values = np.repeat(centres, per) + rng.uniform(0.0, 1e-12, per.sum())
+        probs = rng.dirichlet(np.ones(per.sum()))
+        zero = rng.uniform(size=probs.size) < 0.2
+        zero[0] = False
+        probs[zero] = 0.0
+        probs /= probs.sum()
+        cases.append(list(zip(values, probs)))
+    return cases
+
+
+def test_from_atoms_matches_merge_loop():
+    for atoms in _merge_cases(np.random.default_rng(23)):
+        dist = PaymentDistribution.from_atoms(atoms)
+        values, probs, mean, variance = oracles.from_atoms_loop(atoms)
+        assert dist.values == pytest.approx(values, rel=1e-14, abs=1e-14)
+        assert dist.probs == pytest.approx(probs, rel=1e-14, abs=1e-14)
+        assert dist.mean == pytest.approx(mean, rel=1e-14, abs=1e-14)
+        assert dist.variance == pytest.approx(variance, rel=1e-14, abs=1e-14)
+
+
 def test_from_atoms_merges_and_validates():
     dist = PaymentDistribution.from_atoms([(0.5, 0.25), (0.5 + 1e-13, 0.25), (0.0, 0.5)])
     assert len(dist.values) == 2
