@@ -47,15 +47,12 @@ from .errors import (
     NotLuceImplementable,
     ObjectiveNotIncreasing,
     ParameterOutOfRange,
-    UniquenessViolation,
 )
 from .luce import (
     SynthesisResult,
-    UniquenessReport,
     derive_partition,
     required_budget,
     synthesize_luce,
-    verify_uniqueness,
 )
 from .maximal import (
     ConditionReport,

@@ -32,8 +32,8 @@ from .errors import (
     NotLuceImplementable,
     ParameterOutOfRange,
 )
-from .luce import synthesize_luce, verify_uniqueness
-from .maximal import brute_force_frontier, luce_condition, z_value
+from .luce import synthesize_luce
+from .maximal import brute_force_frontier, implementability_necessary, luce_condition, z_value
 from .optimize import (
     Objective,
     optimize_principal,
@@ -240,7 +240,7 @@ def cmd_check(args) -> int:
     payload = {
         "profile": list(profile.probs),
         "z": z_value(profile, costs),
-        "z_at_most_one": z_value(profile, costs) <= 1.0 + 1e-9,
+        "z_at_most_one": implementability_necessary(profile, costs),
         "condition": serialize.condition_report_to_dict(report),
     }
     _emit(serialize.canonical_json(payload), args)
@@ -250,20 +250,13 @@ def cmd_check(args) -> int:
 def cmd_synthesize(args) -> int:
     costs, _, _, doc = resolve_problem(args)
     args._config_doc = doc
-    profile = parse_profile(args.profile)
-    result = synthesize_luce(profile, costs)
-    payload = serialize.synthesis_to_dict(result)
-    if args.verify_trials > 0:
-        report = verify_uniqueness(
-            result, profile, costs, trials=args.verify_trials, seed=args.seed
-        )
-        payload["uniqueness"] = serialize.uniqueness_to_dict(report)
-    _emit(serialize.canonical_json(payload), args)
+    result = synthesize_luce(parse_profile(args.profile), costs)
+    _emit(serialize.canonical_json(serialize.synthesis_to_dict(result)), args)
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
-    costs, _, solver, doc = resolve_problem(args)
+    costs, _, _, doc = resolve_problem(args)
     args._config_doc = doc
     if doc is not None and "objective" in doc:
         weights = doc["objective"]["weights"]
@@ -278,12 +271,7 @@ def cmd_optimize(args) -> int:
         raise ValueError("either --weights or a config objective is required")
     if len(weights) != costs.n:
         raise ValueError(f"{len(weights)} objective weights for n={costs.n}")
-    optimum = optimize_principal(
-        Objective.linear(weights),
-        costs,
-        seed=args.seed,
-        solver=SolverOptions(tolerance=solver.tolerance, starts=2, seed=solver.seed),
-    )
+    optimum = optimize_principal(Objective.linear(weights), costs, seed=args.seed)
     _emit(serialize.canonical_json(serialize.optimum_to_dict(optimum)), args)
     return EXIT_OK
 
@@ -398,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="the tiered contract implementing a profile")
     _add_problem_flags(p, profile=True)
-    p.add_argument("--verify-trials", type=int, default=0,
-                   help="perturbation trials for the uniqueness check")
     p.set_defaults(handler=cmd_synthesize)
 
     p = sub.add_parser("optimize", help="best tiered contract for a linear objective")

@@ -41,10 +41,6 @@ class NotLuceImplementable(ContractGameError):
         self.report = report
 
 
-class UniquenessViolation(ContractGameError):
-    """A distinct Luce contract reproduced a profile that should be unique."""
-
-
 class ParameterOutOfRange(ContractGameError):
     """A closed-form routine received a parameter outside its valid range."""
 

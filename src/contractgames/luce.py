@@ -15,8 +15,9 @@ of tier k gains
 
 which the trapezoid rule in x = log t evaluates on nodes shared by the whole
 tier: O(L m) for the gains of m agents on L nodes, O(L m^2) for their
-Jacobian. A perturbation harness then checks that no other spec reproduces
-the same profile.
+Jacobian. The paper proves the implementing contract unique, so no search
+for another one is made; `tests/oracles.py` keeps a randomised audit of
+that theorem.
 """
 
 from __future__ import annotations
@@ -26,22 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    CostModel,
-    LuceSpec,
-    ProfileLike,
-    as_profile,
-    expand_luce,
-    mask_agents,
-    require_interior,
-)
-from .equilibrium import SolverOptions, find_equilibria
-from .errors import (
-    InconsistentTightSets,
-    NoConvergence,
-    NotLuceImplementable,
-    UniquenessViolation,
-)
+from .core import CostModel, LuceSpec, ProfileLike, as_profile, mask_agents, require_interior
+from .errors import InconsistentTightSets, NoConvergence, NotLuceImplementable
 from .maximal import TIGHT_TOL, ConditionReport, luce_condition
 
 # Trapezoid rule in x = log t on [_LOG_T_MIN, log(_T_TAIL / min w)], weights
@@ -69,14 +56,6 @@ class SynthesisResult:
     budget: float
     residual: float
     tight_chain: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    """Worst-case separation of perturbed specs' equilibria from the target."""
-
-    trials: int
-    worst_separation: float
 
 
 def required_budget(p: ProfileLike, costs: CostModel) -> float:
@@ -220,76 +199,3 @@ def synthesize_luce(p: ProfileLike, costs: CostModel, tolerance: float = 1e-10,
         )
     return SynthesisResult(LuceSpec(partition, tuple(weights)), budget, residual,
                            report.tight_sets)
-
-
-def _random_ordered_partition(n: int, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
-    labels = rng.integers(0, n, size=n)
-    order = sorted(set(int(x) for x in labels))
-    return tuple(
-        tuple(i for i in range(n) if labels[i] == lab) for lab in order
-    )
-
-
-def _jittered(spec: LuceSpec, rng: np.random.Generator) -> LuceSpec:
-    """Same tiers, every weight nudged by 5 to 30 percent relative."""
-    n = spec.n
-    factors = 1.0 + rng.uniform(0.05, 0.30, size=n) * rng.choice((-1.0, 1.0), size=n)
-    return LuceSpec(spec.partition, tuple(np.array(spec.weights) * factors))
-
-
-def _meaningfully_distinct(candidate: LuceSpec, base: LuceSpec, n: int,
-                           min_gap: float = 0.02) -> bool:
-    """True when the two specs expand to visibly different reward tables.
-
-    Spec-level comparisons are not enough: canonicalization can cancel a raw
-    jitter, and a merged tier with a near-zero weight mimics a split tier, so
-    encodings that differ can still describe almost the same contract. Draws
-    whose tables agree within min_gap are skipped rather than counted.
-    """
-    gap = np.max(np.abs(expand_luce(candidate, n).table - expand_luce(base, n).table))
-    return float(gap) >= min_gap
-
-
-def verify_uniqueness(result: SynthesisResult, p: ProfileLike, costs: CostModel,
-                      trials: int = 50, seed: int | None = None,
-                      separation_tol: float = 1e-4,
-                      solver_tolerance: float = 1e-8) -> UniquenessReport:
-    """Check that perturbed and re-tiered specs all fail to reproduce p.
-
-    Alternates weight jitter with random alternative tier structures, solves
-    each expanded contract at the same budget, and records the smallest
-    max-coordinate distance between p and any equilibrium found. A
-    meaningfully distinct spec landing within `separation_tol` of p in every
-    coordinate raises UniquenessViolation. Draws whose expanded tables are
-    indistinguishable from the original's are skipped, not counted.
-    """
-    prof = as_profile(p, costs.n)
-    n = prof.n
-    base = result.spec
-    rng = np.random.default_rng(seed)
-    opts = SolverOptions(tolerance=solver_tolerance, starts=2, seed=seed)
-    worst = np.inf
-    done = 0
-    attempts = 0
-    while done < trials and attempts < 20 * max(trials, 1):
-        attempts += 1
-        if attempts % 2 == 1:
-            candidate = _jittered(base, rng)
-        else:
-            partition = _random_ordered_partition(n, rng)
-            candidate = LuceSpec(partition, tuple(rng.dirichlet(2.0 * np.ones(n))))
-        if not _meaningfully_distinct(candidate, base, n):
-            continue
-        contract = expand_luce(candidate, n, result.budget)
-        separation = np.inf
-        for res in find_equilibria(contract, costs, opts, initial_profiles=(prof,)):
-            gap = float(np.max(np.abs(res.profile.as_array() - prof.as_array())))
-            separation = min(separation, gap)
-        if separation <= separation_tol:
-            raise UniquenessViolation(
-                f"distinct spec {candidate} reproduced the profile within "
-                f"{separation:.3g} (tolerance {separation_tol:.3g})"
-            )
-        worst = min(worst, separation)
-        done += 1
-    return UniquenessReport(trials=done, worst_separation=float(worst))

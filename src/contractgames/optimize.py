@@ -6,8 +6,10 @@ inequality. So the search runs over profiles, and `synthesize_luce` turns the
 optimum into its contract. The worst subset at p is a prefix of the agents
 sorted by s_i / q_i (s_i = p_i c_i'(p_i), q_i = -log(1 - p_i)); that sort is
 discontinuous, so the local solver (SLSQP, or COBYLA for custom objectives)
-sees cutting planes instead, one fixed subset added per solve. A two-agent
-quadratic-cost closed form is provided for cross-checking.
+sees cutting planes instead, one fixed subset added per solve. No 2^n table
+is built: the starts are equilibria of single-tier contracts, found with the
+table-free gains that synthesis uses. A two-agent quadratic-cost closed form
+is provided for cross-checking.
 """
 
 from __future__ import annotations
@@ -19,12 +21,22 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import bisect, minimize
 
-from .core import MAX_AGENTS, Contract, CostModel, LuceSpec, Profile, expand_luce
-from .equilibrium import SolverOptions, find_equilibria
-from .errors import ContractGameError, NoConvergence, ObjectiveNotIncreasing, ParameterOutOfRange
-from .luce import required_budget, synthesize_luce
+from .core import Contract, CostModel, LuceSpec, Profile
+from .errors import (
+    ContractGameError,
+    NoConvergence,
+    NotAdmissible,
+    ObjectiveNotIncreasing,
+    ParameterOutOfRange,
+)
+from .luce import _tier_gains, required_budget, synthesize_luce
 
 _STARTS = 8
+# Best-response sweeps for a start stop at this residual, as find_equilibria
+# does by default; a tabulated cost's bisection inverse is only good to
+# about 1e-12, so a tighter stop could sweep without end.
+_START_TOL = 1e-10
+_START_SWEEPS = 10_000
 # Cuts are added until the most violated prefix has slack >= -_CUT_TOL.
 _CUT_TOL = 1e-12
 _MAX_CUT_ROUNDS = 50
@@ -70,9 +82,11 @@ class Optimum:
     """The optimal contract and its equilibrium. `search_trace` counts the local
     solver's objective evaluations, `failed_starts` the starts that failed.
 
-    The contract is `expand_luce(spec, n, budget)`. `budget` is 1 up to
-    rounding when the objective is increasing, and below 1 when an optimum
-    with z(p) < 1 needs less than the whole budget.
+    The contract is `expand_luce(spec, n, budget)`, and `equilibrium` is the
+    profile it was synthesized from, with best-response residual at most
+    1e-10 under that contract. `budget` is 1 up to rounding when the
+    objective is increasing, and below 1 when an optimum with z(p) < 1
+    needs less than the whole budget.
     """
 
     spec: LuceSpec
@@ -215,31 +229,49 @@ class _ProfileSearch:
     def contract(self, p: np.ndarray, equal: np.ndarray) -> tuple[LuceSpec, np.ndarray] | None:
         """The Luce spec implementing p after its near-tight prefixes are held tight.
 
-        Prefixes within _SNAP_TOL of tight are snapped, and the snap is kept
-        if feasible and no worse. Returns None when synthesis fails.
+        Prefixes within _SNAP_TOL of tight are snapped. The snapped profile
+        is tried first if it is feasible and no worse, and p first
+        otherwise; the other is tried when synthesis fails on the first.
+        Returns None when synthesis fails on both.
         """
         masks, values = self.prefixes(p)
         near = masks[values[1:] <= _SNAP_TOL]
-        q = self.local(p, np.vstack([equal, near])) if len(near) else p
-        value = self.objective.value(p)
-        if not self.feasible(q) or self.objective.value(q) < value - 1e-12 * max(1.0, abs(value)):
-            q = p
-        try:
-            return synthesize_luce(q, self.costs).spec, q
-        except ContractGameError:
-            return None
+        candidates = [p]
+        if len(near):
+            snapped = self.local(p, np.vstack([equal, near]))
+            if self.feasible(snapped):
+                value = self.objective.value(p)
+                worse = self.objective.value(snapped) < value - 1e-12 * max(1.0, abs(value))
+                candidates = [p, snapped] if worse else [snapped, p]
+        for q in candidates:
+            try:
+                return synthesize_luce(q, self.costs).spec, q
+            except ContractGameError:
+                pass
+        return None
+
+
+def _single_tier_equilibrium(w: np.ndarray, costs: CostModel) -> np.ndarray:
+    """The equilibrium of the unit-budget single-tier contract with weights w.
+
+    Best-response sweeps from the origin, with the table-free gains that
+    synthesis uses, until max |BR(p) - p| <= _START_TOL.
+    """
+    p = np.zeros(len(w))
+    for _ in range(_START_SWEEPS):
+        b = costs.inverse_marginal_vec(_tier_gains(w, p)[0])
+        if np.max(np.abs(b - p)) <= _START_TOL:
+            break
+        p = b
+    return b
 
 
 def _starts(costs: CostModel, rng: np.random.Generator) -> list[np.ndarray]:
     """Equilibria of single-tier contracts: equal weights, then random ones."""
     n = costs.n
     weights = [np.ones(n)] + [np.exp(rng.normal(size=n)) for _ in range(_STARTS - 1)]
-    starts = []
-    for w in weights[: _STARTS if n > 1 else 1]:
-        contract = expand_luce(LuceSpec.single_block(w), n)
-        res = find_equilibria(contract, costs, SolverOptions(starts=1))[0]
-        starts.append(np.clip(res.profile.as_array(), _EDGE, 1.0 - _EDGE))
-    return starts
+    return [np.clip(_single_tier_equilibrium(w, costs), _EDGE, 1.0 - _EDGE)
+            for w in weights[: _STARTS if n > 1 else 1]]
 
 
 def _chain(partition: Sequence[Sequence[int]], n: int) -> np.ndarray:
@@ -253,28 +285,31 @@ def _chain(partition: Sequence[Sequence[int]], n: int) -> np.ndarray:
 
 def optimize_principal(objective: Objective, costs: CostModel,
                        seed: int | None = None,
-                       solver: SolverOptions | None = None,
                        partitions: Sequence[tuple[tuple[int, ...], ...]] | None = None,
                        ) -> Optimum:
     """Maximize the objective over the profiles that Luce contracts implement.
 
     Runs the cutting-plane search from each start (drawn with `seed`) and
     ranks the results that pass the feasibility check. For the best one,
-    `synthesize_luce` recovers the contract and its budget, and
-    `find_equilibria` re-solves it under `solver`; the returned equilibrium
-    is the converged one nearest the optimal profile, and `value` is the
-    objective there. A result that cannot be synthesized counts as a failed
-    start, and the next is tried.
+    `synthesize_luce` recovers the contract, whose equilibrium residual it
+    holds to 1e-10; the returned equilibrium is the synthesized profile, and
+    `value` is the objective there. A result that cannot be synthesized
+    counts as a failed start, and the next is tried. No 2^n table is built,
+    so any number of agents is accepted.
 
     `partitions` limits the search to the given ordered partitions by
     holding each one's unions B1, B1 u B2, ... tight; an optimum on the edge
     of that family can come back as a finer partition. Raises NoConvergence
-    when no start yields a contract, and ValueError for more than
-    MAX_AGENTS agents, since the starts and the re-solve use 2^n tables.
+    when no start yields a contract, and NotAdmissible unless c_i'(1) > 1
+    for every agent: a lone successful agent of a single-tier contract
+    gains the whole unit budget.
     """
     n = costs.n
-    if n > MAX_AGENTS:
-        raise ValueError(f"optimize_principal handles at most {MAX_AGENTS} agents, got {n}")
+    c_one = costs.marginal_at_one()
+    if np.any(c_one <= 1.0):
+        i = int(np.argmin(c_one))
+        raise NotAdmissible(f"agent {i}: c'(1) = {c_one[i]:.6g} does not exceed the unit budget; "
+                            "small-budget admissibility violated")
     _probe_increasing(objective, n)
     search = _ProfileSearch(objective, costs)
     chains = [np.zeros((0, n))] if partitions is None else [_chain(b, n) for b in partitions]
@@ -288,18 +323,12 @@ def optimize_principal(objective: Objective, costs: CostModel,
                 found.append((objective.value(p), p, equal))
             else:
                 failed += 1
-    solver = solver or SolverOptions(starts=2)
     for _, p, equal in sorted(found, key=lambda t: -t[0]):
         made = search.contract(p, equal)
         if made is not None:
-            spec, p = made
-            budget = required_budget(p, costs)
-            results = [r for r in find_equilibria(expand_luce(spec, n, budget), costs, solver,
-                                                  initial_profiles=(p,)) if r.converged]
-            if results:
-                best = min(results, key=lambda r: float(np.max(np.abs(r.profile.as_array() - p))))
-                return Optimum(spec, best.profile, objective.value(best.profile.probs),
-                               search.evals, failed, budget)
+            spec, q = made
+            return Optimum(spec, Profile(tuple(q)), objective.value(q), search.evals, failed,
+                           required_budget(q, costs))
         failed += 1
     raise NoConvergence(f"none of {failed} starts produced a feasible, synthesizable optimum")
 

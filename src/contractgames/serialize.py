@@ -13,7 +13,7 @@ from typing import Any
 import numpy as np
 
 from .core import Contract, EquilibriumResult, LuceSpec, _check_n, mask_agents, validate_mask
-from .luce import SynthesisResult, UniquenessReport
+from .luce import SynthesisResult
 from .maximal import ConditionReport, FrontierResult
 from .optimize import Optimum
 from .payments import MpsVerdict, PaymentDistribution
@@ -142,10 +142,6 @@ def optimum_to_dict(opt: Optimum) -> dict:
         "failed_starts": opt.failed_starts,
         "budget": opt.budget,
     }
-
-
-def uniqueness_to_dict(report: UniquenessReport) -> dict:
-    return {"trials": report.trials, "worst_separation": report.worst_separation}
 
 
 def distribution_to_dict(dist: PaymentDistribution) -> dict:

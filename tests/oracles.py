@@ -10,9 +10,12 @@ problem is solved by the library's former search over contract weights:
 every ordered partition, a weight grid per partition, then Nelder-Mead. The
 subset inequality is checked on all 2^n - 1 subsets, and Luce weights come
 from the library's former damped multiplicative iteration on 2^n tables.
+Uniqueness of the implementing Luce contract is audited by perturbing it and
+solving the perturbed contracts' tables.
 """
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -20,6 +23,7 @@ from scipy.optimize import minimize, minimize_scalar
 from contractgames.core import LuceSpec, as_profile, expand_luce, mask_agents, subset_mask
 from contractgames.equilibrium import (
     _OSCILLATION_WINDOW,
+    SolverOptions,
     _best_responses,
     _Workspace,
     find_equilibria,
@@ -382,3 +386,73 @@ def from_atoms_loop(atoms, merge_tol=1e-12):
     mean = sum(v * q for v, q in merged)
     variance = sum((v - mean) ** 2 * q for v, q in merged)
     return [v for v, _ in merged], [q for _, q in merged], mean, variance
+
+
+class UniquenessReport(NamedTuple):
+    """Worst-case separation of perturbed specs' equilibria from the target."""
+
+    trials: int
+    worst_separation: float
+
+
+def random_ordered_partition(n, rng):
+    labels = rng.integers(0, n, size=n)
+    return tuple(tuple(i for i in range(n) if labels[i] == lab)
+                 for lab in sorted(set(int(x) for x in labels)))
+
+
+def jittered(spec, rng):
+    """Same tiers, every weight nudged by 5 to 30 percent relative."""
+    factors = 1.0 + rng.uniform(0.05, 0.30, size=spec.n) * rng.choice((-1.0, 1.0), size=spec.n)
+    return LuceSpec(spec.partition, tuple(np.array(spec.weights) * factors))
+
+
+def meaningfully_distinct(candidate, base, n, min_gap=0.02):
+    """True when the two specs expand to visibly different reward tables.
+
+    Spec-level comparisons are not enough: canonicalization can cancel a raw
+    jitter, and a merged tier with a near-zero weight mimics a split tier, so
+    encodings that differ can still describe almost the same contract.
+    """
+    gap = np.max(np.abs(expand_luce(candidate, n).table - expand_luce(base, n).table))
+    return float(gap) >= min_gap
+
+
+def verify_uniqueness(result, p, costs, trials=50, seed=None, separation_tol=1e-4,
+                      solver_tolerance=1e-8):
+    """Check that perturbed and re-tiered specs all fail to reproduce p.
+
+    Alternates weight jitter of the synthesized spec with random tier
+    structures and random weights, solves each expanded contract at the
+    synthesized budget, and records the smallest max-coordinate distance
+    between p and any equilibrium found. A meaningfully distinct spec that
+    lands within `separation_tol` of p fails an assertion. Draws whose
+    tables are indistinguishable from the original's are skipped, not
+    counted.
+    """
+    prof = as_profile(p, costs.n)
+    n = prof.n
+    base = result.spec
+    rng = np.random.default_rng(seed)
+    opts = SolverOptions(tolerance=solver_tolerance, starts=2, seed=seed)
+    worst = np.inf
+    done = 0
+    attempts = 0
+    while done < trials and attempts < 20 * max(trials, 1):
+        attempts += 1
+        if attempts % 2 == 1:
+            candidate = jittered(base, rng)
+        else:
+            candidate = LuceSpec(random_ordered_partition(n, rng),
+                                 tuple(rng.dirichlet(2.0 * np.ones(n))))
+        if not meaningfully_distinct(candidate, base, n):
+            continue
+        contract = expand_luce(candidate, n, result.budget)
+        separation = min(float(np.max(np.abs(res.profile.as_array() - prof.as_array())))
+                         for res in find_equilibria(contract, costs, opts,
+                                                    initial_profiles=(prof,)))
+        assert separation > separation_tol, (
+            f"distinct spec {candidate} reproduced the profile within {separation:.3g}")
+        worst = min(worst, separation)
+        done += 1
+    return UniquenessReport(trials=done, worst_separation=float(worst))

@@ -32,9 +32,10 @@ from contractgames import (
     two_agent_equilibrium,
     two_agent_optimal_lambda,
     two_agent_sge,
-    verify_uniqueness,
     z_value,
 )
+
+import oracles
 
 SEED = 20260810
 QUAD22 = CostModel.power([2, 2])
@@ -152,14 +153,12 @@ def test_criterion_1_two_agent_closed_form():
 
 def test_criterion_2_balanced_weight_gives_half():
     scales = (1.2, 2.0, 5.0, 20.0)
-    solver = SolverOptions(tolerance=1e-13, starts=2)
     for c1 in scales:
         for c2 in scales:
             lam = two_agent_optimal_lambda(c1, c2, 1.0)
             assert abs(lam - 0.5) <= 1e-9
             opt = optimize_principal(
-                Objective.linear([1, 1]), CostModel.power([c1, c2]),
-                seed=SEED, solver=solver,
+                Objective.linear([1, 1]), CostModel.power([c1, c2]), seed=SEED,
             )
             lam_opt = float(expand_luce(opt.spec, 2).table[0b11, 0])
             assert abs(lam_opt - 0.5) <= 1e-4
@@ -175,11 +174,8 @@ def test_criterion_3_corner_thresholds():
     for w in (2.5, 3.0):
         assert two_agent_optimal_lambda(2, 2, w) == 1.0
     assert two_agent_optimal_lambda(2, 2, 0.4 + 1e-9) > 0.0
-    solver = SolverOptions(tolerance=1e-13, starts=2)
     for w, corner in ((0.4, 0.0), (0.3, 0.0), (2.5, 1.0), (3.0, 1.0)):
-        opt = optimize_principal(
-            Objective.linear([w, 1]), QUAD22, seed=SEED, solver=solver
-        )
+        opt = optimize_principal(Objective.linear([w, 1]), QUAD22, seed=SEED)
         lam_opt = float(expand_luce(opt.spec, 2).table[0b11, 0])
         assert abs(lam_opt - corner) <= 1e-6, (w, lam_opt)
     report(3, "corner thresholds 0.4 and 2.5 hold exactly in the formulas and "
@@ -244,7 +240,7 @@ def test_criterion_7_implementability_boundary():
 def test_criterion_8_uniqueness(roundtrip_corpus):
     worst = np.inf
     for k, (_, costs, _, p, synthesis) in enumerate(roundtrip_corpus):
-        audit = verify_uniqueness(
+        audit = oracles.verify_uniqueness(
             synthesis, p, costs, trials=50, seed=SEED + k, separation_tol=1e-4
         )
         assert audit.trials == 50

@@ -109,15 +109,12 @@ def test_synthesize_not_implementable_exits_3(capsys):
     assert doc["condition"]["worst_subset"] == [1]
 
 
-def test_synthesize_with_uniqueness_audit(capsys):
-    code, out, _ = run_cli(
-        capsys, "synthesize", "--profile", "0.4,0.4",
-        "--costs", "power:2:2,power:2:2", "--verify-trials", "10", "--seed", "1",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["uniqueness"]["trials"] == 10
-    assert doc["uniqueness"]["worst_separation"] > 1e-4
+def test_synthesize_rejects_verify_trials(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["synthesize", "--profile", "0.4,0.4", "--costs", "power:2:2,power:2:2",
+             "--verify-trials", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +185,20 @@ def test_optimize_reports_search_counts(capsys):
     doc = json.loads(out)
     assert doc["failed_starts"] == 0
     assert doc["search_trace"] > 0
+    assert doc["budget"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_optimize_thirty_agents(capsys):
+    scales = [2.0 + 0.05 * k for k in range(30)]
+    code, out, _ = run_cli(
+        capsys, "optimize", "--costs", ",".join(f"power:{c}:2" for c in scales),
+        "--weights", ",".join(str(1.0 + 0.03 * k) for k in range(30)), "--seed", "0",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["failed_starts"] == 0
+    assert len(doc["equilibrium"]) == 30
+    assert sorted(i for block in doc["spec"]["partition"] for i in block) == list(range(1, 31))
     assert doc["budget"] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -314,7 +325,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 def test_byte_identical_output_for_identical_invocation(capsys):
     argv = ["synthesize", "--profile", "0.35,0.2", "--costs", "power:2:2,power:3:2",
-            "--verify-trials", "5", "--seed", "7"]
+            "--seed", "7"]
     code1, out1, _ = run_cli(capsys, *argv)
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0

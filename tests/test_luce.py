@@ -22,7 +22,6 @@ from contractgames import (
     required_budget,
     synthesize_luce,
     two_agent_equilibrium,
-    verify_uniqueness,
 )
 from contractgames.equilibrium import _marginal_gains, _Workspace
 from contractgames.luce import _luce_gains, _tier_gains
@@ -291,7 +290,7 @@ def test_partition_swap_separates_equilibrium():
 
 def test_verify_uniqueness_reports_positive_separation():
     result = synthesize_luce((0.4, 0.4), QUAD22)
-    report = verify_uniqueness(result, (0.4, 0.4), QUAD22, trials=40, seed=5)
+    report = oracles.verify_uniqueness(result, (0.4, 0.4), QUAD22, trials=40, seed=5)
     assert report.trials == 40
     assert report.worst_separation > 1e-4
 
@@ -300,7 +299,7 @@ def test_verify_uniqueness_skips_recanonicalized_duplicates():
     # all-singleton tiers make every weight jitter collapse to the original
     # spec; those draws must be skipped, with partition mutations filling in
     result = synthesize_luce((0.5, 0.25), QUAD22)
-    report = verify_uniqueness(result, (0.5, 0.25), QUAD22, trials=20, seed=6)
+    report = oracles.verify_uniqueness(result, (0.5, 0.25), QUAD22, trials=20, seed=6)
     assert report.trials == 20
     assert report.worst_separation > 1e-3
 
@@ -316,6 +315,6 @@ def test_verify_uniqueness_across_random_roundtrips():
         if not res.converged or min(res.profile) < 0.05:
             continue
         result = synthesize_luce(res.profile, costs)
-        report = verify_uniqueness(result, res.profile, costs, trials=20, seed=done)
+        report = oracles.verify_uniqueness(result, res.profile, costs, trials=20, seed=done)
         assert report.worst_separation > 1e-4
         done += 1
