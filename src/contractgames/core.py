@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .errors import BudgetExceeded, DegenerateProfile
 
@@ -101,8 +100,8 @@ class PowerCost:
     def marginal(self, p: float) -> float:
         return self.scale * p ** (self.exponent - 1.0)
 
-    def inverse_marginal(self, r: float) -> float:
-        if r < 0:
+    def inverse_marginal(self, r: float | np.ndarray) -> float | np.ndarray:
+        if np.any(np.less(r, 0)):
             raise ValueError("marginal cost is nonnegative; cannot invert r < 0")
         return (r / self.scale) ** (1.0 / (self.exponent - 1.0))
 
@@ -116,8 +115,9 @@ class TabulatedMonotone:
 
     `grid` must start at 0, end at 1, and increase strictly; `values` are the
     marginal costs at the grid points, strictly increasing with values[0] = 0.
-    The marginal is interpolated linearly; its inverse is found by bisection
-    to 1e-12. The cost itself is the exact integral of the interpolant.
+    The marginal is interpolated linearly, so its inverse is the linear
+    interpolant of grid over values, exact up to rounding. The cost itself
+    is the exact integral of the interpolant.
     """
 
     grid: tuple[float, ...]
@@ -158,19 +158,15 @@ class TabulatedMonotone:
     def marginal(self, p: float) -> float:
         return float(np.interp(p, self.grid, self.values))
 
-    def inverse_marginal(self, r: float) -> float:
-        if r < 0:
+    def inverse_marginal(self, r: float | np.ndarray) -> float | np.ndarray:
+        if np.any(np.less(r, 0)):
             raise ValueError("marginal cost is nonnegative; cannot invert r < 0")
-        if r == 0.0:
-            return 0.0
-        if r > self.values[-1]:
+        if np.any(np.greater(r, self.values[-1])):
             raise ValueError(
-                f"marginal gain {r} exceeds tabulated marginal cost at 1 "
+                f"marginal gain {np.max(r)} exceeds tabulated marginal cost at 1 "
                 f"({self.values[-1]})"
             )
-        if r == self.values[-1]:
-            return 1.0
-        return float(bisect(lambda x: self.marginal(x) - r, 0.0, 1.0, xtol=1e-12))
+        return np.interp(r, self.values, self.grid)
 
     def rescaled(self, factor: float) -> "TabulatedMonotone":
         return TabulatedMonotone(self.grid, tuple(v * factor for v in self.values))
@@ -229,9 +225,10 @@ class CostModel:
         r = np.asarray(r, dtype=float)
         if self._power_scale is not None:
             return (r / self._power_scale) ** (1.0 / (self._power_exp - 1.0))
-        rows = [[c.inverse_marginal(x) for c, x in zip(self.agents, row)]
-                for row in r.reshape(-1, self.n)]
-        return np.array(rows).reshape(r.shape)
+        out = np.empty_like(r)
+        for i, c in enumerate(self.agents):
+            out[..., i] = c.inverse_marginal(r[..., i])
+        return out
 
     def marginal_at_one(self) -> np.ndarray:
         return np.array([c.marginal(1.0) for c in self.agents])
@@ -309,11 +306,20 @@ def outcome_probabilities(p: ProfileLike) -> np.ndarray:
     Returns an array of length 2**n with entry m equal to the probability
     that the set of successful agents is exactly the agents in mask m. A
     (k, n) batch of profiles gives one such row per profile, shape (k, 2**n).
+    Mask m splits into the bits of the first n // 2 agents and of the rest,
+    so the result is the outer product of those two halves' tables.
     """
     arr = p.as_array() if isinstance(p, Profile) else np.asarray(p, dtype=float)
     if arr.ndim not in (1, 2):
         raise ValueError(f"expected a profile or a (k, n) batch, got shape {arr.shape}")
     _check_n(arr.shape[-1])
+    half = arr.shape[-1] // 2
+    low, high = _outcome_table(arr[..., :half]), _outcome_table(arr[..., half:])
+    return (high[..., :, None] * low[..., None, :]).reshape(arr.shape[:-1] + (-1,))
+
+
+def _outcome_table(arr: np.ndarray) -> np.ndarray:
+    """outcome_probabilities by doubling, one agent at a time; no agents gives [1]."""
     probs = np.ones(arr.shape[:-1] + (1,))
     for pi in arr.T[..., None]:
         probs = np.concatenate([probs * (1.0 - pi), probs * pi], axis=-1)

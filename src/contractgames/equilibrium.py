@@ -3,8 +3,11 @@
 An agent's best response solves c_i'(p_i) = max(0, r_i) where r_i is the
 expected reward gain from succeeding rather than failing, computed exactly
 over all outcomes of the other agents and scaled by the contract budget.
-Equilibria are found by damped simultaneous best-response iteration from
-several starting profiles; every fixed point found is reported.
+Each contract's share gains are tabulated once per outcome of the others,
+so one matrix product with the outcome probabilities gives every agent's
+r_i, for one profile or a whole batch. Equilibria are found by damped
+simultaneous best-response iteration from several starting profiles;
+every fixed point found is reported.
 """
 
 from __future__ import annotations
@@ -49,47 +52,36 @@ class SolverOptions:
 
 
 class _Workspace:
-    """Per-contract arrays reused across best-response sweeps."""
+    """Per-contract arrays reused across best-response sweeps.
+
+    `gains[m, i]` is f_i(m | 1<<i) - f_i(m), agent i's share gain from
+    succeeding, on the outcomes m of the other agents (m without bit i); it
+    is 0 on the outcomes that contain i.
+    """
 
     def __init__(self, f: Contract):
-        self.n = f.n
         self.budget = f.budget
-        self.table = f.table
-        self.in_table = f.table * membership(f.n)  # shares paid when i succeeded
+        self.gains = np.zeros_like(f.table)
+        for i in range(f.n):
+            _gain_column(f.table[:, i], i, self.gains[:, i])
         self.c_at_one: np.ndarray | None = None
 
 
-def _forced_conditional(table_col: np.ndarray, p: np.ndarray, i: int, succeed: bool) -> float:
-    """E[f_i(S)] conditioning agent i's outcome by forcing p_i to 1 or 0."""
-    forced = p.copy()
-    forced[i] = 1.0 if succeed else 0.0
-    return float(outcome_probabilities(forced) @ table_col)
-
-
-def _success_conditionals(ws: _Workspace, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-agent E[f_i | i in S] and E[f_i | i not in S] in share units.
-
-    p is one profile (n,) or a batch (k, n); the results have its shape.
-    """
-    probs = outcome_probabilities(p)
-    ein = probs @ ws.in_table
-    eout = probs @ ws.table - ein
-    cond_in = np.empty_like(ein)
-    nz = p > 0.0
-    # Every term of ein carries the factor p_i exactly once, so the division
-    # is clean; only p_i = 0 needs the forced-outcome fallback.
-    cond_in[nz] = ein[nz] / p[nz]
-    if not nz.all():
-        for *row, i in np.argwhere(~nz):
-            cond_in[(*row, i)] = _forced_conditional(
-                ws.table[:, i], p[tuple(row)], int(i), succeed=True)
-    cond_out = eout / (1.0 - p)
-    return cond_in, cond_out
+def _gain_column(col: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
+    """Write agent i's share gains from table column `col` into the zeroed `out`."""
+    # Outcome m = (hi, bit i, lo): pairs[:, 0] lacks agent i, pairs[:, 1] has it.
+    pairs = col.reshape(-1, 2, 1 << i)
+    np.subtract(pairs[:, 1], pairs[:, 0], out=out.reshape(-1, 2, 1 << i)[:, 0])
+    return out
 
 
 def _marginal_gains(ws: _Workspace, p: np.ndarray) -> np.ndarray:
-    cond_in, cond_out = _success_conditionals(ws, p)
-    return (cond_in - cond_out) * ws.budget
+    """Every agent's marginal gain at one profile (n,) or each row of a (k, n) batch.
+
+    Each outcome without agent i carries the factor 1 - p_i exactly once,
+    so dividing it out needs no special case for any p_i in [0, 1), 0 included.
+    """
+    return outcome_probabilities(p) @ ws.gains / (1.0 - p) * ws.budget
 
 
 def _best_responses(ws: _Workspace, p: np.ndarray, costs: CostModel) -> np.ndarray:
@@ -113,12 +105,10 @@ def marginal_gain(i: int, f: Contract, p: ProfileLike) -> float:
     Exact summation over the outcomes of the other agents; p_i itself is
     ignored. Negative values are possible when the contract rewards failure.
     """
-    prof = as_profile(p, f.n)
-    arr = prof.as_array()
-    col = f.table[:, i]
-    win = _forced_conditional(col, arr, i, succeed=True)
-    lose = _forced_conditional(col, arr, i, succeed=False)
-    return (win - lose) * f.budget
+    others = as_profile(p, f.n).as_array()
+    others[i] = 0.0
+    gains = _gain_column(f.table[:, i], i, np.zeros(1 << f.n))
+    return float(outcome_probabilities(others) @ gains) * f.budget
 
 
 def best_response(i: int, f: Contract, p: ProfileLike, costs: CostModel) -> float:
@@ -143,9 +133,7 @@ def equilibrium_residual(f: Contract, p: ProfileLike, costs: CostModel) -> float
 
 def _solo_start(ws: _Workspace, costs: CostModel) -> np.ndarray:
     """Each agent's best response when everyone else is sure to fail."""
-    n = ws.n
-    r0 = np.array([(ws.table[1 << i, i] - ws.table[0, i]) * ws.budget for i in range(n)])
-    r0 = np.maximum(r0, 0.0)
+    r0 = np.maximum(ws.gains[0] * ws.budget, 0.0)
     if ws.c_at_one is None:
         ws.c_at_one = costs.marginal_at_one()
     if np.any(r0 >= ws.c_at_one):
@@ -211,11 +199,12 @@ def find_equilibria(f: Contract, costs: CostModel, options: SolverOptions | None
     in `initial_profiles`. All starts iterate together as one batch, but
     each keeps its own damping and stop test: damping drops to 0.5 when that
     start's residual stops decreasing monotonically, and a start leaves the
-    batch once it converges. The solver holds two 2**n-row tables: the
-    contract's and its success-only part. Fixed points are deduplicated at
-    1e-6 in the max norm and sorted by total effort, highest first. Starts
-    that fail to converge within the iteration budget are reported with
-    converged=False rather than raised.
+    batch once it converges. Besides the contract's table, the solver holds
+    one 2**n-row table of each agent's share gain from succeeding, and each
+    sweep is one product of it with the batch's outcome probabilities.
+    Fixed points are deduplicated at 1e-6 in the max norm and sorted by
+    total effort, highest first. Starts that fail to converge within the
+    iteration budget are reported with converged=False rather than raised.
     """
     opts = options or SolverOptions()
     if costs.n != f.n:
@@ -263,13 +252,14 @@ def fgn_normalize(f: Contract, p: ProfileLike, costs: CostModel,
             f"profile is not an equilibrium of the contract: residual {residual:.3g} "
             f"> tolerance {tolerance:.3g}"
         )
-    cond_in, cond_out = _success_conditionals(ws, arr)
+    success = f.table * membership(f.n)  # rewards paid to agents that succeeded
+    paid = outcome_probabilities(arr) @ success * f.budget  # p_i E[f_i | i in S]
+    r = _marginal_gains(ws, arr)
     lam = np.zeros(f.n)
-    for i in range(f.n):
-        if arr[i] > 0.0:
-            # First-order condition bounds the ratio by 1; clip rounding spill.
-            lam[i] = min(1.0, max(0.0, (cond_in[i] - cond_out[i]) / cond_in[i]))
-    g = Contract(f.n, ws.in_table * lam, budget=f.budget, unconstrained=f.unconstrained)
+    for i in np.flatnonzero(arr > 0.0):
+        # First-order condition bounds the ratio by 1; clip rounding spill.
+        lam[i] = min(1.0, max(0.0, r[i] * arr[i] / paid[i]))
+    g = Contract(f.n, success * lam, budget=f.budget, unconstrained=f.unconstrained)
     check = equilibrium_residual(g, prof, costs)
     if check > tolerance:
         raise NotAnEquilibrium(

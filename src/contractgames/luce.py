@@ -91,11 +91,10 @@ def derive_partition(report: ConditionReport) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-def _tier_gains(w: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E[w_i / (w_i + W_i)] for each agent of one tier, and its Jacobian in log w.
+def _tier_integrand(w: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (L, m) integrand of one tier's gains on the nodes, then t w, e^{-t w}, g - 1.
 
-    W_i is the summed weight of the tier's other successful agents. Only
-    weight ratios matter, so the weights are rescaled to a maximum of 1.
+    Only weight ratios matter, so the weights are rescaled to a maximum of 1.
     """
     w = w / w.max()
     x = np.arange(_LOG_T_MIN, np.log(_T_TAIL / w.min()), _QUAD_STEP)
@@ -104,10 +103,23 @@ def _tier_gains(w: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shrink = p * np.expm1(-tw)
     log_g = np.log1p(shrink)  # g_j(t) = E[e^{-t w_j B_j}] = 1 - p_j + p_j e^{-t w_j}
     integrand = tw * decay * np.exp(log_g.sum(axis=1, keepdims=True) - log_g)
-    gains = _QUAD_STEP * integrand.sum(axis=0)
+    return integrand, tw, decay, shrink
+
+
+def _tier_gains(w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """E[w_i / (w_i + W_i)] for each agent of one tier, in O(L m).
+
+    W_i is the summed weight of the tier's other successful agents.
+    """
+    return _QUAD_STEP * _tier_integrand(w, p)[0].sum(axis=0)
+
+
+def _tier_jacobian(w: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_tier_gains(w, p) and its Jacobian in log w, in O(L m^2)."""
+    integrand, tw, decay, shrink = _tier_integrand(w, p)
     jac = _QUAD_STEP * (integrand.T @ (-p * tw * decay / (1.0 + shrink)))
     np.fill_diagonal(jac, _QUAD_STEP * np.einsum("lm,lm->m", integrand, 1.0 - tw))
-    return gains, jac
+    return _QUAD_STEP * integrand.sum(axis=0), jac
 
 
 def _luce_gains(partition: Sequence[Sequence[int]], weights: np.ndarray, p: np.ndarray,
@@ -117,7 +129,7 @@ def _luce_gains(partition: Sequence[Sequence[int]], weights: np.ndarray, p: np.n
     above = budget  # budget times P[no agent of a higher tier succeeds]
     for block in partition:
         idx = list(block)
-        r[idx] = above * _tier_gains(weights[idx], p[idx])[0]
+        r[idx] = above * _tier_gains(weights[idx], p[idx])
         above *= float(np.prod(1.0 - p[idx]))
     return r
 
@@ -133,7 +145,7 @@ def _solve_tier(log_w: np.ndarray, p: np.ndarray, target: np.ndarray,
     _MAX_LOG_STEP is shortened, and one that does not reduce the error norm
     is halved.
     """
-    gains, jac = _tier_gains(np.exp(log_w), p)
+    gains, jac = _tier_jacobian(np.exp(log_w), p)
     err = np.log(gains / target)
     for _ in range(max_steps):
         if len(p) == 1 or np.max(np.abs(err)) <= _GAIN_RTOL:
@@ -146,7 +158,7 @@ def _solve_tier(log_w: np.ndarray, p: np.ndarray, target: np.ndarray,
             trial = log_w.copy()
             trial[free] += step
             trial -= trial.max()
-            t_gains, t_jac = _tier_gains(np.exp(trial), p)
+            t_gains, t_jac = _tier_jacobian(np.exp(trial), p)
             t_err = np.log(t_gains / target)
             if np.linalg.norm(t_err) < norm:
                 break

@@ -33,8 +33,7 @@ from .luce import _tier_gains, required_budget, synthesize_luce
 
 _STARTS = 8
 # Best-response sweeps for a start stop at this residual, as find_equilibria
-# does by default; a tabulated cost's bisection inverse is only good to
-# about 1e-12, so a tighter stop could sweep without end.
+# does by default; a start only seeds the local solver.
 _START_TOL = 1e-10
 _START_SWEEPS = 10_000
 # Cuts are added until the most violated prefix has slack >= -_CUT_TOL.
@@ -259,7 +258,7 @@ def _single_tier_equilibrium(w: np.ndarray, costs: CostModel) -> np.ndarray:
     """
     p = np.zeros(len(w))
     for _ in range(_START_SWEEPS):
-        b = costs.inverse_marginal_vec(_tier_gains(w, p)[0])
+        b = costs.inverse_marginal_vec(_tier_gains(w, p))
         if np.max(np.abs(b - p)) <= _START_TOL:
             break
         p = b

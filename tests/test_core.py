@@ -65,6 +65,23 @@ def test_outcome_probs_normalize(p):
     assert outcome_probabilities(p).sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_outcome_probabilities_match_brute_enumeration():
+    # The table is the outer product of two half tables; at n = 1 the lower
+    # half has no agents. Exact zeros and coordinates near 1 stay exact.
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 7, 11):
+        batch = rng.uniform(0.0, 0.95, size=(3, n))
+        batch[0, 0] = 0.0
+        batch[1, -1] = 1.0 - 1e-12
+        out = outcome_probabilities(batch)
+        assert out.shape == (3, 1 << n)
+        masks = range(1 << n) if n <= 7 else [0, (1 << n) - 1, *rng.integers(1 << n, size=40)]
+        for p, probs in zip(batch, out):
+            for mask in masks:
+                want = oracles.outcome_prob_brute(tuple(p), int(mask))
+                assert abs(probs[mask] - want) <= 1e-13 * want
+
+
 def test_outcome_probabilities_batch_rows_match_single_profiles():
     batch = np.random.default_rng(5).uniform(0.0, 0.95, size=(6, 4))
     out = outcome_probabilities(batch)
@@ -111,9 +128,23 @@ def test_tabulated_matches_power_model():
         assert tab.marginal(x) == pytest.approx(ref.marginal(x), abs=1e-6)
         assert tab.cost(x) == pytest.approx(ref.cost(x), abs=1e-6)
     for r in (0.3, 1.2, 2.9):
-        # bisection inverts the interpolant itself to 1e-12
-        assert tab.marginal(tab.inverse_marginal(r)) == pytest.approx(r, abs=1e-11)
+        # the inverse interpolates grid over values, so it is exact to rounding
+        assert tab.marginal(tab.inverse_marginal(r)) == pytest.approx(r, abs=1e-14)
     assert tab.inverse_marginal(0.0) == 0.0
+
+
+def test_tabulated_inverse_round_trip_and_ends():
+    tab = TabulatedMonotone((0.0, 0.2, 0.7, 1.0), (0.0, 0.5, 1.1, 3.0))
+    x = np.linspace(0.0, 1.0, 101)
+    r = np.array([tab.marginal(v) for v in x])
+    assert np.max(np.abs(tab.inverse_marginal(r) - x)) <= 1e-15
+    for v, rv in zip(x, r):
+        assert abs(tab.inverse_marginal(rv) - v) <= 1e-15
+    assert tab.inverse_marginal(0.0) == 0.0
+    assert tab.inverse_marginal(3.0) == 1.0
+    for bad in (3.0 + 1e-12, np.array([0.5, 3.5]), -1e-300):
+        with pytest.raises(ValueError):
+            tab.inverse_marginal(bad)
 
 
 def test_tabulated_validation():
@@ -147,6 +178,12 @@ def test_cost_model_vector_paths_match_scalar():
     r = np.array([0.5, 1.2])
     expected_inv = [model.inverse_marginal(i, r[i]) for i in range(2)]
     assert model.inverse_marginal_vec(r) == pytest.approx(expected_inv)
+    # a (k, n) batch mixing power and tabulated agents, ends included
+    batch = np.array([[0.5, 1.2], [0.0, 3.0], [1.9, 0.0], [0.7, 2.4]])
+    expected = [[model.inverse_marginal(i, x) for i, x in enumerate(row)] for row in batch]
+    assert np.array_equal(model.inverse_marginal_vec(batch), np.array(expected))
+    with pytest.raises(ValueError):
+        model.inverse_marginal_vec(np.array([[0.5, 1.2], [0.5, 3.5]]))
 
 
 # ---------------------------------------------------------------------------

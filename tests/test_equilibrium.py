@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractgames import (
     Contract,
@@ -76,6 +78,62 @@ def test_marginal_gain_matches_brute_oracle_general_contracts():
             assert marginal_gain(i, f, p) == pytest.approx(
                 oracles.marginal_gain_brute(f, p, i), abs=1e-12
             )
+
+
+def test_batched_marginal_gains_match_brute_oracle():
+    # The contracts pay failures too, so gains can be negative. Profiles hold
+    # exact zeros (the origin among them) and coordinates at 1 - 1e-12.
+    rng = np.random.default_rng(61)
+    negative = False
+    for n in range(1, 7):
+        f = Contract(n, rng.uniform(0.0, 1.0, size=(1 << n, n)),
+                     budget=rng.uniform(0.5, 2.0), unconstrained=True)
+        batch = rng.uniform(0.0, 0.95, size=(5, n))
+        batch[0] = 0.0
+        batch[1, rng.integers(n)] = 0.0
+        batch[2, rng.integers(n)] = 1.0 - 1e-12
+        batch[3, ::2], batch[3, 1::2] = 0.0, 1.0 - 1e-12
+        ws = equilibrium._Workspace(f)
+        gains = equilibrium._marginal_gains(ws, batch)
+        assert gains.shape == (5, n)
+        for p, row in zip(batch, gains):
+            want = np.array([oracles.marginal_gain_brute(f, p, i) for i in range(n)])
+            assert np.max(np.abs(row - want)) <= 1e-12
+            assert np.max(np.abs(equilibrium._marginal_gains(ws, p) - want)) <= 1e-12
+            negative |= bool((want < 0).any())
+    assert negative
+
+
+def relabelled(f, perm):
+    """f with agent k playing the part of agent perm[k]."""
+    masks = np.arange(1 << f.n)
+    image = sum(((masks >> int(j)) & 1) << k for k, j in enumerate(perm))
+    table = np.empty_like(f.table)
+    table[image] = f.table[:, perm]
+    return Contract(f.n, table, f.budget, f.unconstrained)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.integers(0, 2 ** 32 - 1), st.booleans())))
+def test_relabelling_agents_permutes_gains_and_equilibria(game):
+    perm, seed, fgn = game
+    perm, n = np.array(perm), len(perm)
+    rng = np.random.default_rng(seed)
+    f = random_fgn(rng, n) if fgn else Contract(n, general_table(rng, n))
+    costs = CostModel.power(rng.uniform(n + 1, n + 6, n), rng.uniform(2, 3, n))
+    g, g_costs = relabelled(f, perm), CostModel(tuple(costs.agents[j] for j in perm))
+    p = rng.uniform(0.0, 0.9, size=(3, n))
+    gains = equilibrium._marginal_gains(equilibrium._Workspace(f), p)
+    again = equilibrium._marginal_gains(equilibrium._Workspace(g), p[:, perm])
+    assert np.max(np.abs(again - gains[:, perm])) <= 1e-12
+    # The origin and solo starts relabel with the agents; random starts do not.
+    opts = SolverOptions(starts=2)
+    found = [r.profile.as_array()[perm] for r in find_equilibria(f, costs, opts) if r.converged]
+    relab = [r.profile.as_array() for r in find_equilibria(g, g_costs, opts) if r.converged]
+    assert len(found) == len(relab)
+    for q in found:
+        assert min(np.max(np.abs(q - r)) for r in relab) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +292,7 @@ def oracle_cases():
 def test_batched_iteration_matches_single_start_oracle():
     for f, costs, rng in oracle_cases():
         ws = equilibrium._Workspace(f)
-        # The origin start exercises the p_i = 0 fallback in the first sweep.
+        # The origin start puts every p_i at 0 in the first sweep.
         starts = np.vstack([np.zeros(f.n), equilibrium._solo_start(ws, costs),
                             rng.uniform(0.0, 0.9, (4, f.n))])
         for opts in (SolverOptions(), SolverOptions(max_iterations=3),

@@ -24,7 +24,7 @@ from contractgames import (
     two_agent_equilibrium,
 )
 from contractgames.equilibrium import _marginal_gains, _Workspace
-from contractgames.luce import _luce_gains, _tier_gains
+from contractgames.luce import _luce_gains, _tier_gains, _tier_jacobian
 
 import oracles
 
@@ -196,11 +196,13 @@ def test_tier_gain_jacobian_matches_central_differences():
     rng = np.random.default_rng(17)
     for m in (1, 2, 5, 9):
         log_w, p = rng.uniform(-8.0, 8.0, m), rng.uniform(0.001, 0.95, m)
-        _, jac = _tier_gains(np.exp(log_w), p)
+        gains, jac = _tier_jacobian(np.exp(log_w), p)
+        # the sweeps' gains-only path gives the same gains
+        assert np.array_equal(gains, _tier_gains(np.exp(log_w), p))
         h = 1e-6
         numeric = np.column_stack([
-            (_tier_gains(np.exp(log_w + h * e), p)[0]
-             - _tier_gains(np.exp(log_w - h * e), p)[0]) / (2 * h)
+            (_tier_gains(np.exp(log_w + h * e), p)
+             - _tier_gains(np.exp(log_w - h * e), p)) / (2 * h)
             for e in np.eye(m)])
         assert np.max(np.abs(jac - numeric)) <= 1e-8
         # rescaling every weight leaves the gains unchanged
