@@ -69,8 +69,9 @@ def validate_mask(mask: int, n: int) -> None:
 def membership(n: int) -> np.ndarray:
     """Boolean (2**n, n) matrix whose entry [m, i] is True when bit i of m is set."""
     _check_n(n)
-    masks = np.arange(1 << n, dtype=np.uint32)
-    return ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
+    # The bits of each little-endian 4-byte mask, lowest first; no (2**n, n) integer temporaries.
+    masks = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(masks, axis=1, count=n, bitorder="little").view(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +315,22 @@ def outcome_probabilities(p: ProfileLike) -> np.ndarray:
         raise ValueError(f"expected a profile or a (k, n) batch, got shape {arr.shape}")
     _check_n(arr.shape[-1])
     half = arr.shape[-1] // 2
-    low, high = _outcome_table(arr[..., :half]), _outcome_table(arr[..., half:])
-    return (high[..., :, None] * low[..., None, :]).reshape(arr.shape[:-1] + (-1,))
+    pairs = np.stack((1.0 - arr.T, arr.T), axis=1)
+    low, high = _outcome_table(pairs[:half]), _outcome_table(pairs[half:])
+    return (high[:, None] * low).reshape((-1,) + arr.shape[:-1]).T
 
 
-def _outcome_table(arr: np.ndarray) -> np.ndarray:
-    """outcome_probabilities by doubling, one agent at a time; no agents gives [1]."""
-    probs = np.ones(arr.shape[:-1] + (1,))
-    for pi in arr.T[..., None]:
-        probs = np.concatenate([probs * (1.0 - pi), probs * pi], axis=-1)
+def _outcome_table(pairs: np.ndarray) -> np.ndarray:
+    """Outcome table of m agents by doubling, outcomes first: (2**m, ...).
+
+    `pairs[j]` holds agent j's factors for failing and for succeeding,
+    (1 - p_j, p_j) for a probability table, stacked on axis 1 and followed
+    by any batch axes. Each agent's pair multiplies the table so far as its
+    new highest bit. No agents gives a table of ones of length 1.
+    """
+    probs = np.ones((1,) + pairs.shape[2:])
+    for pair in pairs[:, :, None]:
+        probs = (pair * probs).reshape((-1,) + pairs.shape[2:])
     return probs
 
 
@@ -345,7 +353,10 @@ class Contract:
     """Reward table: a nonnegative share per agent for every outcome.
 
     Unless `unconstrained` is set, shares on each outcome must sum to at most
-    1; rewards are share * budget. The table is stored read-only.
+    1; rewards are share * budget. The table is stored read-only: a float
+    array that is already read-only and owns its data is kept as it is
+    (`equal_split` and `expand_luce` hand over theirs that way), anything
+    else is copied.
     """
 
     n: int
@@ -357,7 +368,10 @@ class Contract:
         _check_n(self.n)
         if not self.budget > 0:
             raise ValueError(f"budget must be positive, got {self.budget}")
-        table = np.array(self.table, dtype=float)
+        table = self.table
+        if not (isinstance(table, np.ndarray) and table.dtype == np.float64
+                and table.flags.owndata and not table.flags.writeable):
+            table = np.array(table, dtype=float)
         if table.shape != (1 << self.n, self.n):
             raise ValueError(
                 f"table shape {table.shape} != {(1 << self.n, self.n)} for n={self.n}"
@@ -414,7 +428,9 @@ def equal_split(n: int, budget: float = 1.0) -> Contract:
     member = membership(n)
     counts = member.sum(axis=1)
     counts[0] = 1  # the empty outcome pays nobody
-    return Contract(n, member / counts[:, None], budget)
+    table = member / counts[:, None]
+    table.setflags(write=False)
+    return Contract(n, table, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +504,22 @@ def expand_luce(spec: LuceSpec, n: int, budget: float = 1.0) -> Contract:
     """
     if spec.n != n:
         raise ValueError(f"spec covers {spec.n} agents, expected {n}")
-    member = membership(n)
     w = np.array(spec.weights)
-    table = np.zeros((1 << n, n))
-    unclaimed = np.ones(1 << n, dtype=bool)
-    # Tiers in priority order; each claims the unclaimed outcomes it meets.
-    for block in spec.partition:
-        cols = list(block)
-        hit = member[:, cols]
-        rows = np.flatnonzero(unclaimed & hit.any(axis=1))
-        shares = hit[rows] * w[cols]
-        table[rows[:, None], cols] = shares / shares.sum(axis=1, keepdims=True)
-        unclaimed[rows] = False
+    masks = np.arange(1 << n, dtype=np.uint32)
+    tier_masks = np.array([subset_mask(block, n) for block in spec.partition], dtype=np.uint32)
+    tier_of = np.empty(n, dtype=np.intp)
+    for t, block in enumerate(spec.partition):
+        tier_of[list(block)] = t
+    # The highest-priority tier each outcome meets (0 for the empty outcome).
+    top = ((masks[:, None] & tier_masks) != 0).argmax(axis=1)
+    table = np.where(membership(n) & (tier_of == top[:, None]), w, 0.0)
+    wsum = np.zeros(1)  # wsum[m]: summed weight of the agents in mask m
+    for wi in w:
+        wsum = np.concatenate((wsum, wsum + wi))
+    denom = wsum[masks & tier_masks[top]]
+    denom[0] = 1.0  # the empty outcome pays nobody
+    table /= denom[:, None]
+    table.setflags(write=False)
     return Contract(n, table, budget)
 
 

@@ -3,9 +3,11 @@
 An agent's best response solves c_i'(p_i) = max(0, r_i) where r_i is the
 expected reward gain from succeeding rather than failing, computed exactly
 over all outcomes of the other agents and scaled by the contract budget.
-Each contract's share gains are tabulated once per outcome of the others,
-so one matrix product with the outcome probabilities gives every agent's
-r_i, for one profile or a whole batch. Equilibria are found by damped
+Since E_p[f_i(S)] is multilinear in p, r_i is its derivative in p_i, read
+off the contract's own table: the table is contracted with the outcome
+tables of the two halves of the agents and their derivatives, two matrix
+products for every agent's r_i at one profile or a whole batch, and no
+second table is built. Equilibria are found by damped
 simultaneous best-response iteration from several starting profiles;
 every fixed point found is reported.
 """
@@ -22,6 +24,7 @@ from .core import (
     EquilibriumResult,
     Profile,
     ProfileLike,
+    _outcome_table,
     as_profile,
     membership,
     outcome_probabilities,
@@ -52,36 +55,59 @@ class SolverOptions:
 
 
 class _Workspace:
-    """Per-contract arrays reused across best-response sweeps.
+    """Per-contract views and index arrays reused across best-response sweeps.
 
-    `gains[m, i]` is f_i(m | 1<<i) - f_i(m), agent i's share gain from
-    succeeding, on the outcomes m of the other agents (m without bit i); it
-    is 0 on the outcomes that contain i.
+    An outcome mask m = hi * B + lo splits into the bits lo of the low
+    agents 0..h-1 and hi of the high agents h..n-1, with h = n // 2,
+    B = 2**h and A = 2**(n - h). `t2` and `t3` view the contract's table as
+    (A, B * n) and (A, B, n); no other table and no copy of it is made.
     """
 
     def __init__(self, f: Contract):
+        n, h = f.n, f.n // 2
+        half = n - h
+        self.n, self.h = n, h
+        self.t2 = f.table.reshape(1 << half, -1)
+        self.t3 = f.table.reshape(1 << half, 1 << h, n)
         self.budget = f.budget
-        self.gains = np.zeros_like(f.table)
-        for i in range(f.n):
-            _gain_column(f.table[:, i], i, self.gains[:, i])
         self.c_at_one: np.ndarray | None = None
-
-
-def _gain_column(col: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
-    """Write agent i's share gains from table column `col` into the zeroed `out`."""
-    # Outcome m = (hi, bit i, lo): pairs[:, 0] lacks agent i, pairs[:, 1] has it.
-    pairs = col.reshape(-1, 2, 1 << i)
-    np.subtract(pairs[:, 1], pairs[:, 0], out=out.reshape(-1, 2, 1 << i)[:, 0])
-    return out
+        # Agent j's factors in row r of half s (0 low, 1 high) are
+        # scale * p + offset, with p = batch[probes[j, r, s]]. Row 0 is the
+        # half's outcome table, with factors (1 - p, p); row 1 + j' is its
+        # derivative in agent j''s probability, where agent j' has the factors
+        # (-1, 1) instead. A low half one agent short is padded with an agent
+        # whose factors are (1, 0): it always fails.
+        agents = np.array([[*range(h), *[0] * (half - h)], range(h, n)]).T
+        self.probes = np.broadcast_to(agents[:, None, None, :], (half, 1, 1 + half, 2))
+        shape = (half, 2, 1 + half, 2, 1)  # agent, (fail, succeed), row, half, batch
+        self.scale, self.offset = np.zeros(shape), np.zeros(shape)
+        self.scale[:, 0], self.offset[:, 0], self.scale[:, 1] = -1.0, 1.0, 1.0
+        self.scale[h:, :, :, 0] = 0.0
+        own = np.arange(half), slice(None), 1 + np.arange(half)
+        self.scale[own], self.offset[own] = 0.0, [[[-1.0]], [[1.0]]]
 
 
 def _marginal_gains(ws: _Workspace, p: np.ndarray) -> np.ndarray:
     """Every agent's marginal gain at one profile (n,) or each row of a (k, n) batch.
 
-    Each outcome without agent i carries the factor 1 - p_i exactly once,
-    so dividing it out needs no special case for any p_i in [0, 1), 0 included.
+    E_p[f_i(S)] is multilinear in p, so r_i is its derivative in p_i: the
+    contract's table contracted with the outcome table of the other half and
+    with the derivative in p_i of the outcome table of agent i's half, which
+    is that table with agent i's factors (1 - p_i, p_i) replaced by (-1, 1).
+    Nothing is divided, so the gains are exact for every p_i in [0, 1], and
+    they do not depend on p_i.
     """
-    return outcome_probabilities(p) @ ws.gains / (1.0 - p) * ws.budget
+    batch = p.reshape(-1, ws.n).T  # the batch runs along the last axis from here
+    # (2**half, 1 + half rows, 2 halves, k); row 1 + j is agent j's slope table.
+    tables = _outcome_table(batch[ws.probes] * ws.scale + ws.offset)
+    h, low_size = ws.h, 1 << ws.h
+    # Low agents: V[lo, i] = sum_hi high[hi] table[hi * B + lo, i], one GEMM.
+    v = (tables[:, 0, 1].T @ ws.t2).reshape(-1, low_size, ws.n).T
+    r_low = (tables[:low_size, 1:h + 1, 0] * v[:h].transpose(1, 0, 2)).sum(axis=0)
+    # High agents: W[hi, i] = sum_lo low[lo] table[hi * B + lo, i], A stacked products.
+    w = tables[:low_size, 0, 0].T @ ws.t3
+    r_high = (tables[:, 1:, 1] * w[..., h:].transpose(0, 2, 1)).sum(axis=0)
+    return (np.concatenate((r_low, r_high)) * ws.budget).T.reshape(p.shape)
 
 
 def _best_responses(ws: _Workspace, p: np.ndarray, costs: CostModel) -> np.ndarray:
@@ -105,10 +131,7 @@ def marginal_gain(i: int, f: Contract, p: ProfileLike) -> float:
     Exact summation over the outcomes of the other agents; p_i itself is
     ignored. Negative values are possible when the contract rewards failure.
     """
-    others = as_profile(p, f.n).as_array()
-    others[i] = 0.0
-    gains = _gain_column(f.table[:, i], i, np.zeros(1 << f.n))
-    return float(outcome_probabilities(others) @ gains) * f.budget
+    return float(_marginal_gains(_Workspace(f), as_profile(p, f.n).as_array())[i])
 
 
 def best_response(i: int, f: Contract, p: ProfileLike, costs: CostModel) -> float:
@@ -133,7 +156,8 @@ def equilibrium_residual(f: Contract, p: ProfileLike, costs: CostModel) -> float
 
 def _solo_start(ws: _Workspace, costs: CostModel) -> np.ndarray:
     """Each agent's best response when everyone else is sure to fail."""
-    r0 = np.maximum(ws.gains[0] * ws.budget, 0.0)
+    table, agents = ws.t2.reshape(-1, ws.n), np.arange(ws.n)
+    r0 = np.maximum((table[1 << agents, agents] - table[0]) * ws.budget, 0.0)
     if ws.c_at_one is None:
         ws.c_at_one = costs.marginal_at_one()
     if np.any(r0 >= ws.c_at_one):
@@ -199,9 +223,9 @@ def find_equilibria(f: Contract, costs: CostModel, options: SolverOptions | None
     in `initial_profiles`. All starts iterate together as one batch, but
     each keeps its own damping and stop test: damping drops to 0.5 when that
     start's residual stops decreasing monotonically, and a start leaves the
-    batch once it converges. Besides the contract's table, the solver holds
-    one 2**n-row table of each agent's share gain from succeeding, and each
-    sweep is one product of it with the batch's outcome probabilities.
+    batch once it converges. The solver holds no table besides the
+    contract's: each sweep contracts it with the batch's half outcome tables
+    and their derivatives, one matrix product per half.
     Fixed points are deduplicated at 1e-6 in the max norm and sorted by
     total effort, highest first. Starts that fail to converge within the
     iteration budget are reported with converged=False rather than raised.

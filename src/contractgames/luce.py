@@ -91,32 +91,39 @@ def derive_partition(report: ConditionReport) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-def _tier_integrand(w: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The (L, m) integrand of one tier's gains on the nodes, then t w, e^{-t w}, g - 1.
+def _tier_nodes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weight-only terms of one tier's quadrature: t w, e^{-t w} and e^{-t w} - 1.
 
-    Only weight ratios matter, so the weights are rescaled to a maximum of 1.
+    Each is (L, m), one row per node. Only weight ratios matter, so the
+    weights are rescaled to a maximum of 1.
     """
     w = w / w.max()
     x = np.arange(_LOG_T_MIN, np.log(_T_TAIL / w.min()), _QUAD_STEP)
     tw = np.exp(x)[:, None] * w
-    decay = np.exp(-tw)
-    shrink = p * np.expm1(-tw)
+    return tw, np.exp(-tw), np.expm1(-tw)
+
+
+def _tier_integrand(nodes: tuple[np.ndarray, ...], p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (L, m) integrand of one tier's gains on `_tier_nodes`, and g - 1."""
+    tw, decay, decay_m1 = nodes
+    shrink = p * decay_m1
     log_g = np.log1p(shrink)  # g_j(t) = E[e^{-t w_j B_j}] = 1 - p_j + p_j e^{-t w_j}
-    integrand = tw * decay * np.exp(log_g.sum(axis=1, keepdims=True) - log_g)
-    return integrand, tw, decay, shrink
+    return tw * decay * np.exp(log_g.sum(axis=1, keepdims=True) - log_g), shrink
 
 
-def _tier_gains(w: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """E[w_i / (w_i + W_i)] for each agent of one tier, in O(L m).
+def _tier_gains(nodes: tuple[np.ndarray, ...], p: np.ndarray) -> np.ndarray:
+    """E[w_i / (w_i + W_i)] for each agent of one tier, in O(L m), given its `_tier_nodes`.
 
     W_i is the summed weight of the tier's other successful agents.
     """
-    return _QUAD_STEP * _tier_integrand(w, p)[0].sum(axis=0)
+    return _QUAD_STEP * _tier_integrand(nodes, p)[0].sum(axis=0)
 
 
 def _tier_jacobian(w: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_tier_gains(w, p) and its Jacobian in log w, in O(L m^2)."""
-    integrand, tw, decay, shrink = _tier_integrand(w, p)
+    """_tier_gains at weights w and its Jacobian in log w, in O(L m^2)."""
+    nodes = _tier_nodes(w)
+    tw, decay, _ = nodes
+    integrand, shrink = _tier_integrand(nodes, p)
     jac = _QUAD_STEP * (integrand.T @ (-p * tw * decay / (1.0 + shrink)))
     np.fill_diagonal(jac, _QUAD_STEP * np.einsum("lm,lm->m", integrand, 1.0 - tw))
     return _QUAD_STEP * integrand.sum(axis=0), jac
@@ -129,7 +136,7 @@ def _luce_gains(partition: Sequence[Sequence[int]], weights: np.ndarray, p: np.n
     above = budget  # budget times P[no agent of a higher tier succeeds]
     for block in partition:
         idx = list(block)
-        r[idx] = above * _tier_gains(weights[idx], p[idx])
+        r[idx] = above * _tier_gains(_tier_nodes(weights[idx]), p[idx])
         above *= float(np.prod(1.0 - p[idx]))
     return r
 

@@ -29,7 +29,7 @@ from .errors import (
     ObjectiveNotIncreasing,
     ParameterOutOfRange,
 )
-from .luce import _tier_gains, required_budget, synthesize_luce
+from .luce import _tier_gains, _tier_nodes, required_budget, synthesize_luce
 
 _STARTS = 8
 # Best-response sweeps for a start stop at this residual, as find_equilibria
@@ -254,11 +254,13 @@ def _single_tier_equilibrium(w: np.ndarray, costs: CostModel) -> np.ndarray:
     """The equilibrium of the unit-budget single-tier contract with weights w.
 
     Best-response sweeps from the origin, with the table-free gains that
-    synthesis uses, until max |BR(p) - p| <= _START_TOL.
+    synthesis uses, until max |BR(p) - p| <= _START_TOL. The quadrature's
+    weight-only terms are computed once.
     """
+    nodes = _tier_nodes(w)
     p = np.zeros(len(w))
     for _ in range(_START_SWEEPS):
-        b = costs.inverse_marginal_vec(_tier_gains(w, p))
+        b = costs.inverse_marginal_vec(_tier_gains(nodes, p))
         if np.max(np.abs(b - p)) <= _START_TOL:
             break
         p = b

@@ -5,7 +5,8 @@ come from explicit enumeration over outcome tuples, best responses from
 numeric utility maximization, and the two-agent equilibrium from a direct
 linear solve of the first-order conditions. Contract tables are filled by
 loops over outcome masks, and the fixed-point iteration runs one start at a
-time, as the library did before those paths were vectorised. The principal's
+time, as the library did before those paths were vectorised, and marginal
+gains also come from the library's former table of share gains. The principal's
 problem is solved by the library's former search over contract weights:
 every ordered partition, a weight grid per partition, then Nelder-Mead. The
 subset inequality is checked on all 2^n - 1 subsets, and Luce weights come
@@ -20,7 +21,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from contractgames.core import LuceSpec, as_profile, expand_luce, mask_agents, subset_mask
+from contractgames.core import (
+    LuceSpec,
+    as_profile,
+    expand_luce,
+    mask_agents,
+    outcome_probabilities,
+    subset_mask,
+)
 from contractgames.equilibrium import (
     _OSCILLATION_WINDOW,
     SolverOptions,
@@ -70,6 +78,21 @@ def marginal_gain_brute(f, p, i):
     p_in = expected_reward(f, p, i, p_i=1.0)
     p_out = expected_reward(f, p, i, p_i=0.0)
     return p_in - p_out
+
+
+def gain_table_gains(f, p):
+    """Every agent's marginal gain at a profile (n,) or (k, n) batch, from a gain table.
+
+    G[m, i] = f_i(m | 1<<i) - f_i(m) on the outcomes m without agent i and 0
+    on the rest, so outcome_probabilities(p) @ G holds each gain times
+    1 - p_i; valid for p_i < 1.
+    """
+    gains = np.zeros_like(f.table)
+    for i in range(f.n):
+        pairs = f.table[:, i].reshape(-1, 2, 1 << i)  # (hi, bit i, lo)
+        gains[:, i].reshape(-1, 2, 1 << i)[:, 0] = pairs[:, 1] - pairs[:, 0]
+    p = np.asarray(p, dtype=float)
+    return outcome_probabilities(p) @ gains / (1.0 - p) * f.budget
 
 
 def utility(f, p, i, costs, p_i):

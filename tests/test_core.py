@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contractgames import (
@@ -23,6 +23,7 @@ from contractgames import (
     subset_mask,
     zero_contract,
 )
+from contractgames.core import membership
 
 import oracles
 
@@ -90,6 +91,31 @@ def test_outcome_probabilities_batch_rows_match_single_profiles():
         assert np.array_equal(probs, outcome_probabilities(row))
     with pytest.raises(ValueError):
         outcome_probabilities(batch[None])
+
+
+def test_contract_copies_any_table_it_does_not_own():
+    rows = np.full((4, 2), 0.25)
+    f = Contract(2, rows)
+    rows[3] = 0.5  # the caller's array stays writable and the contract's copy does not move
+    assert f.table[3, 0] == 0.25 and not f.table.flags.writeable
+    frozen = np.full((4, 2), 0.25)
+    frozen.setflags(write=False)
+    assert Contract(2, frozen).table is frozen
+    view = frozen[:, :]  # read-only but not owning its data
+    assert Contract(2, view).table is not view
+    for g in (equal_split(3), expand_luce(LuceSpec.single_block((1.0, 2.0, 3.0)), 3)):
+        assert not g.table.flags.writeable
+        with pytest.raises(ValueError):
+            g.table[1, 0] = 0.0
+
+
+def test_membership_matches_bit_shifts():
+    # Reference: integer shifts on every mask, one column per agent.
+    for n in (1, 2, 7, 9, 16, 20):
+        masks = np.arange(1 << n, dtype=np.int64)
+        member = membership(n)
+        assert member.dtype == bool and member.shape == (1 << n, n)
+        assert np.array_equal(member, (masks[:, None] >> np.arange(n)) & 1 == 1)
 
 
 def test_mask_helpers():
@@ -293,6 +319,10 @@ def luce_specs(draw, n_max=10):
 
 @settings(max_examples=60, deadline=None)
 @given(luce_specs())
+@example(LuceSpec(((2, 7, 0, 9, 4, 1, 8, 3, 6, 5),), (0.01, 3, 100, 0.5, 7, 1, 20, 0.2, 9, 60)))
+@example(LuceSpec(((6, 1), (0, 2, 3, 4, 5, 7, 8, 9)), (5, 0.01, 3, 100, 0.5, 7, 1, 20, 0.2, 9)))
+@example(LuceSpec(((9,), (4, 0, 7), (1, 2, 3, 5, 6, 8)), (1, 2, 30, 0.1, 5, 8, 0.02, 7, 4, 60)))
+@example(LuceSpec(((3, 8), (5,), (0, 6, 9), (1, 2, 4, 7)), (9, 0.3, 4, 0.05, 70, 2, 6, 1, 11, 3)))
 def test_expand_luce_matches_mask_loop_oracle(spec):
     ref = oracles.expand_luce_table(spec, spec.n)
     assert np.max(np.abs(expand_luce(spec, spec.n).table - ref)) <= 1e-15

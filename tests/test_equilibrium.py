@@ -82,10 +82,11 @@ def test_marginal_gain_matches_brute_oracle_general_contracts():
 
 def test_batched_marginal_gains_match_brute_oracle():
     # The contracts pay failures too, so gains can be negative. Profiles hold
-    # exact zeros (the origin among them) and coordinates at 1 - 1e-12.
+    # exact zeros (the origin among them) and coordinates at 1 - 1e-12. Odd
+    # n splits the agents unevenly, and at n = 1 the low half is empty.
     rng = np.random.default_rng(61)
     negative = False
-    for n in range(1, 7):
+    for n in (1, 2, 3, 4, 5, 6, 7, 9, 11):
         f = Contract(n, rng.uniform(0.0, 1.0, size=(1 << n, n)),
                      budget=rng.uniform(0.5, 2.0), unconstrained=True)
         batch = rng.uniform(0.0, 0.95, size=(5, n))
@@ -96,12 +97,50 @@ def test_batched_marginal_gains_match_brute_oracle():
         ws = equilibrium._Workspace(f)
         gains = equilibrium._marginal_gains(ws, batch)
         assert gains.shape == (5, n)
-        for p, row in zip(batch, gains):
+        for p, row in zip(batch if n <= 7 else batch[:3], gains):
             want = np.array([oracles.marginal_gain_brute(f, p, i) for i in range(n)])
             assert np.max(np.abs(row - want)) <= 1e-12
             assert np.max(np.abs(equilibrium._marginal_gains(ws, p) - want)) <= 1e-12
             negative |= bool((want < 0).any())
     assert negative
+
+
+def test_marginal_gains_match_gain_table_oracle_at_n16():
+    rng = np.random.default_rng(16)
+    n = 16
+    for f in (Contract(n, rng.uniform(0.0, 1.0, size=(1 << n, n)), unconstrained=True),
+              equal_split(n, budget=1.7)):
+        batch = rng.uniform(0.0, 0.95, size=(8, n))
+        batch[0] = 0.0
+        batch[1, rng.integers(n, size=4)] = 0.0
+        batch[2, rng.integers(n, size=4)] = 1.0 - 1e-12
+        batch[3, ::2], batch[3, 1::2] = 0.0, 1.0 - 1e-12
+        gains = equilibrium._marginal_gains(equilibrium._Workspace(f), batch)
+        assert np.max(np.abs(gains - oracles.gain_table_gains(f, batch))) <= 1e-12
+
+
+def test_marginal_gain_ignores_own_probability():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 5, 8):
+        f = Contract(n, rng.uniform(0.0, 1.0, size=(1 << n, n)), unconstrained=True)
+        p = rng.uniform(0.0, 0.95, size=n)
+        for i in range(n):
+            values = set()
+            for own in (0.0, 0.3, 0.7, 1.0 - 1e-12):
+                p[i] = own
+                values.add(marginal_gain(i, f, p))
+            assert len(values) == 1
+
+
+def test_solo_start_is_best_response_at_origin():
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 3, 6, 9):
+        f = Contract(n, general_table(rng, n), budget=rng.uniform(0.5, 2.0))
+        costs = CostModel.power(rng.uniform(n + 1, n + 6, n))
+        ws = equilibrium._Workspace(f)
+        r = equilibrium._marginal_gains(ws, np.zeros(n))
+        assert np.array_equal(equilibrium._solo_start(ws, costs),
+                              costs.inverse_marginal_vec(np.maximum(r, 0.0)))
 
 
 def relabelled(f, perm):

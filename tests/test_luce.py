@@ -24,7 +24,7 @@ from contractgames import (
     two_agent_equilibrium,
 )
 from contractgames.equilibrium import _marginal_gains, _Workspace
-from contractgames.luce import _luce_gains, _tier_gains, _tier_jacobian
+from contractgames.luce import _luce_gains, _tier_gains, _tier_jacobian, _tier_nodes
 
 import oracles
 
@@ -197,12 +197,16 @@ def test_tier_gain_jacobian_matches_central_differences():
     for m in (1, 2, 5, 9):
         log_w, p = rng.uniform(-8.0, 8.0, m), rng.uniform(0.001, 0.95, m)
         gains, jac = _tier_jacobian(np.exp(log_w), p)
-        # the sweeps' gains-only path gives the same gains
-        assert np.array_equal(gains, _tier_gains(np.exp(log_w), p))
+        # the sweeps' gains-only path gives the same gains, also with its
+        # weight-only terms computed once and reused at another profile
+        nodes = _tier_nodes(np.exp(log_w))
+        assert np.array_equal(gains, _tier_gains(nodes, p))
+        q = rng.uniform(0.0, 0.95, m)
+        assert np.array_equal(_tier_jacobian(np.exp(log_w), q)[0], _tier_gains(nodes, q))
         h = 1e-6
         numeric = np.column_stack([
-            (_tier_gains(np.exp(log_w + h * e), p)
-             - _tier_gains(np.exp(log_w - h * e), p)) / (2 * h)
+            (_tier_gains(_tier_nodes(np.exp(log_w + h * e)), p)
+             - _tier_gains(_tier_nodes(np.exp(log_w - h * e)), p)) / (2 * h)
             for e in np.eye(m)])
         assert np.max(np.abs(jac - numeric)) <= 1e-8
         # rescaling every weight leaves the gains unchanged
