@@ -5,9 +5,9 @@ expected reward gain from succeeding rather than failing, computed exactly
 over all outcomes of the other agents and scaled by the contract budget.
 Since E_p[f_i(S)] is multilinear in p, r_i is its derivative in p_i, read
 off the contract's own table: the table is contracted with the outcome
-tables of the two halves of the agents and their derivatives, two matrix
-products for every agent's r_i at one profile or a whole batch, and no
-second table is built. Equilibria are found by damped
+tables of the two halves of the agents and their derivatives, two stacked
+matrix products for every agent's r_i at one profile or a whole batch, and
+no second table is built. Equilibria are found by damped
 simultaneous best-response iteration from several starting profiles;
 every fixed point found is reported.
 """
@@ -59,16 +59,21 @@ class _Workspace:
 
     An outcome mask m = hi * B + lo splits into the bits lo of the low
     agents 0..h-1 and hi of the high agents h..n-1, with h = n // 2,
-    B = 2**h and A = 2**(n - h). `t2` and `t3` view the contract's table as
-    (A, B * n) and (A, B, n); no other table and no copy of it is made.
+    B = 2**h and A = 2**(n - h). `low_cols` views the low agents' columns
+    of the contract's table as B stacked (A, h) matrices, one per lo, and
+    `high_cols` the high agents' columns as A stacked (B, n - h) matrices,
+    one per hi; no other table and no copy of it is made. Every matrix
+    product is thin, k rows by at most n - h columns, so BLAS runs each on
+    the calling thread and a sweep's time does not hang on other threads.
     """
 
     def __init__(self, f: Contract):
         n, h = f.n, f.n // 2
         half = n - h
         self.n, self.h = n, h
-        self.t2 = f.table.reshape(1 << half, -1)
-        self.t3 = f.table.reshape(1 << half, 1 << h, n)
+        self.table = f.table
+        t3 = f.table.reshape(1 << half, 1 << h, n)
+        self.low_cols, self.high_cols = t3[:, :, :h].transpose(1, 0, 2), t3[:, :, h:]
         self.budget = f.budget
         self.c_at_one: np.ndarray | None = None
         # Agent j's factors in row r of half s (0 low, 1 high) are
@@ -101,12 +106,12 @@ def _marginal_gains(ws: _Workspace, p: np.ndarray) -> np.ndarray:
     # (2**half, 1 + half rows, 2 halves, k); row 1 + j is agent j's slope table.
     tables = _outcome_table(batch[ws.probes] * ws.scale + ws.offset)
     h, low_size = ws.h, 1 << ws.h
-    # Low agents: V[lo, i] = sum_hi high[hi] table[hi * B + lo, i], one GEMM.
-    v = (tables[:, 0, 1].T @ ws.t2).reshape(-1, low_size, ws.n).T
-    r_low = (tables[:low_size, 1:h + 1, 0] * v[:h].transpose(1, 0, 2)).sum(axis=0)
+    # Low agents: V[lo, i] = sum_hi high[hi] table[hi * B + lo, i], B stacked products.
+    v = tables[:, 0, 1].T @ ws.low_cols
+    r_low = (tables[:low_size, 1:h + 1, 0] * v.transpose(0, 2, 1)).sum(axis=0)
     # High agents: W[hi, i] = sum_lo low[lo] table[hi * B + lo, i], A stacked products.
-    w = tables[:low_size, 0, 0].T @ ws.t3
-    r_high = (tables[:, 1:, 1] * w[..., h:].transpose(0, 2, 1)).sum(axis=0)
+    w = tables[:low_size, 0, 0].T @ ws.high_cols
+    r_high = (tables[:, 1:, 1] * w.transpose(0, 2, 1)).sum(axis=0)
     return (np.concatenate((r_low, r_high)) * ws.budget).T.reshape(p.shape)
 
 
@@ -156,7 +161,7 @@ def equilibrium_residual(f: Contract, p: ProfileLike, costs: CostModel) -> float
 
 def _solo_start(ws: _Workspace, costs: CostModel) -> np.ndarray:
     """Each agent's best response when everyone else is sure to fail."""
-    table, agents = ws.t2.reshape(-1, ws.n), np.arange(ws.n)
+    table, agents = ws.table, np.arange(ws.n)
     r0 = np.maximum((table[1 << agents, agents] - table[0]) * ws.budget, 0.0)
     if ws.c_at_one is None:
         ws.c_at_one = costs.marginal_at_one()
@@ -225,7 +230,7 @@ def find_equilibria(f: Contract, costs: CostModel, options: SolverOptions | None
     start's residual stops decreasing monotonically, and a start leaves the
     batch once it converges. The solver holds no table besides the
     contract's: each sweep contracts it with the batch's half outcome tables
-    and their derivatives, one matrix product per half.
+    and their derivatives, one stacked matrix product per half.
     Fixed points are deduplicated at 1e-6 in the max norm and sorted by
     total effort, highest first. Starts that fail to converge within the
     iteration budget are reported with converged=False rather than raised.

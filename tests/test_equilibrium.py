@@ -119,6 +119,23 @@ def test_marginal_gains_match_gain_table_oracle_at_n16():
         assert np.max(np.abs(gains - oracles.gain_table_gains(f, batch))) <= 1e-12
 
 
+def test_workspace_views_table_as_thin_stacked_blocks():
+    # Every matrix product of a sweep is k rows by at most n - h columns, and
+    # its operand is the contract's own table, not a copy.
+    for n in (1, 2, 5, 16):
+        f = equal_split(n)
+        ws = equilibrium._Workspace(f)
+        h = n // 2
+        assert ws.low_cols.shape == (1 << h, 1 << (n - h), h)
+        assert ws.high_cols.shape == (1 << (n - h), 1 << h, n - h)
+        for view in (ws.low_cols, ws.high_cols):
+            # At n = 1 the low half is empty and its view holds no memory.
+            assert view.base is not None and (view.size == 0 or np.shares_memory(view, f.table))
+        lo, hi = (1 << h) - 1, (1 << (n - h)) - 1
+        assert np.array_equal(ws.low_cols[lo, hi], f.table[hi * (1 << h) + lo, :h])
+        assert np.array_equal(ws.high_cols[hi, lo], f.table[hi * (1 << h) + lo, h:])
+
+
 def test_marginal_gain_ignores_own_probability():
     rng = np.random.default_rng(17)
     for n in (1, 2, 5, 8):
