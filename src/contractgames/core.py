@@ -67,11 +67,16 @@ def validate_mask(mask: int, n: int) -> None:
 
 
 def membership(n: int) -> np.ndarray:
-    """Boolean (2**n, n) matrix whose entry [m, i] is True when bit i of m is set."""
+    """Boolean (2**n, n) matrix whose entry [m, i] is True when bit i of m is set.
+
+    Stored agent-major like contract tables: each agent's column is contiguous.
+    """
     _check_n(n)
-    # The bits of each little-endian 4-byte mask, lowest first; no (2**n, n) integer temporaries.
-    masks = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    return np.unpackbits(masks, axis=1, count=n, bitorder="little").view(bool)
+    member = np.zeros((n, 1 << n), dtype=bool)
+    for i in range(n):
+        # Agent i's column repeats 2**i outcomes without it, then 2**i with it.
+        member[i].reshape(-1, 2, 1 << i)[:, 1] = True
+    return member.T
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +358,13 @@ class Contract:
     """Reward table: a nonnegative share per agent for every outcome.
 
     Unless `unconstrained` is set, shares on each outcome must sum to at most
-    1; rewards are share * budget. The table is stored read-only: a float
-    array that is already read-only and owns its data is kept as it is
-    (`equal_split` and `expand_luce` hand over theirs that way), anything
-    else is copied.
+    1; rewards are share * budget. The table is indexed [mask, agent] and
+    stored agent-major (Fortran order), so each agent's column is contiguous
+    and the 2^n solver reads it as one block per agent. It is read-only: a
+    float array that is already read-only, F-contiguous and owns its data is
+    kept as it is (the library's constructors build theirs that way and hand
+    it over), anything else, such as a writable array, a view or a row-major
+    table, is copied.
     """
 
     n: int
@@ -369,13 +377,14 @@ class Contract:
         if not self.budget > 0:
             raise ValueError(f"budget must be positive, got {self.budget}")
         table = self.table
-        if not (isinstance(table, np.ndarray) and table.dtype == np.float64
-                and table.flags.owndata and not table.flags.writeable):
-            table = np.array(table, dtype=float)
-        if table.shape != (1 << self.n, self.n):
+        if np.shape(table) != (1 << self.n, self.n):
             raise ValueError(
-                f"table shape {table.shape} != {(1 << self.n, self.n)} for n={self.n}"
+                f"table shape {np.shape(table)} != {(1 << self.n, self.n)} for n={self.n}"
             )
+        if not (isinstance(table, np.ndarray) and table.dtype == np.float64
+                and table.flags.f_contiguous and table.flags.owndata
+                and not table.flags.writeable):
+            table = _agent_major_copy(table)
         if np.any(table < 0.0):
             raise ValueError("limited liability violated: negative share in table")
         if not self.unconstrained:
@@ -393,10 +402,11 @@ class Contract:
     def from_rows(cls, n: int, rows: dict[int, Sequence[float]], budget: float = 1.0,
                   unconstrained: bool = False) -> "Contract":
         """Build a contract from a sparse mask -> shares mapping (rest zero)."""
-        table = np.zeros((1 << n, n))
+        table = _empty_table(n)
         for mask, shares in rows.items():
             validate_mask(mask, n)
             table[mask] = shares
+        table.setflags(write=False)
         return cls(n, table, budget, unconstrained)
 
     def shares(self, mask: int) -> np.ndarray:
@@ -418,17 +428,53 @@ class Contract:
         )
 
 
+# Rows per block when a row-major table is copied agent-major: a block's
+# reads and writes stay in cache, where numpy's one-pass Fortran-order copy of
+# a (2**16, 16) table takes about 3.5x as long.
+_COPY_ROWS = 256
+
+
+def _empty_table(n: int) -> np.ndarray:
+    """A zeroed, writable (2**n, n) table stored agent-major.
+
+    Fill it, freeze it with `setflags(write=False)` and hand it to `Contract`,
+    which then keeps it without a copy.
+    """
+    _check_n(n)
+    return np.zeros((1 << n, n), order="F")
+
+
+def _agent_major_copy(table) -> np.ndarray:
+    """Copy a 2-D table into a new agent-major float array, in row blocks."""
+    src = np.asarray(table, dtype=float)
+    out = np.empty(src.shape, order="F")
+    for start in range(0, len(src), _COPY_ROWS):
+        out[start:start + _COPY_ROWS] = src[start:start + _COPY_ROWS]
+    return out
+
+
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """Entry m is the sum of values[i] over the agents i in mask m, built by doubling."""
+    sums = np.zeros(1)
+    for v in values:
+        sums = np.concatenate((sums, sums + v))
+    return sums
+
+
 def zero_contract(n: int, budget: float = 1.0) -> Contract:
     """The contract that never pays anything."""
-    return Contract(n, np.zeros((1 << n, n)), budget)
+    table = _empty_table(n)
+    table.setflags(write=False)
+    return Contract(n, table, budget)
 
 
 def equal_split(n: int, budget: float = 1.0) -> Contract:
     """Split the whole budget equally among the successful agents."""
     member = membership(n)
-    counts = member.sum(axis=1)
-    counts[0] = 1  # the empty outcome pays nobody
-    table = member / counts[:, None]
+    counts = _subset_sums(np.ones(n))
+    counts[0] = 1.0  # the empty outcome pays nobody
+    table = _empty_table(n)
+    np.divide(member.T, counts, out=table.T)
     table.setflags(write=False)
     return Contract(n, table, budget)
 
@@ -512,13 +558,13 @@ def expand_luce(spec: LuceSpec, n: int, budget: float = 1.0) -> Contract:
         tier_of[list(block)] = t
     # The highest-priority tier each outcome meets (0 for the empty outcome).
     top = ((masks[:, None] & tier_masks) != 0).argmax(axis=1)
-    table = np.where(membership(n) & (tier_of == top[:, None]), w, 0.0)
-    wsum = np.zeros(1)  # wsum[m]: summed weight of the agents in mask m
-    for wi in w:
-        wsum = np.concatenate((wsum, wsum + wi))
-    denom = wsum[masks & tier_masks[top]]
+    winners = membership(n).T & (tier_of[:, None] == top)  # agent-major
+    denom = _subset_sums(w)[masks & tier_masks[top]]
     denom[0] = 1.0  # the empty outcome pays nobody
-    table /= denom[:, None]
+    table = _empty_table(n)
+    cols = table.T  # row i is agent i's column, contiguous
+    np.multiply(winners, w[:, None], out=cols)
+    cols /= denom
     table.setflags(write=False)
     return Contract(n, table, budget)
 
@@ -537,7 +583,10 @@ def piece_rate(q: ProfileLike, costs: CostModel, unconstrained: bool = False) ->
     prof = as_profile(q, costs.n)
     n = prof.n
     rates = np.array([costs.marginal(i, prof[i]) for i in range(n)])
-    return Contract(n, membership(n) * rates, budget=1.0, unconstrained=unconstrained)
+    table = _empty_table(n)
+    np.multiply(membership(n).T, rates[:, None], out=table.T)
+    table.setflags(write=False)
+    return Contract(n, table, budget=1.0, unconstrained=unconstrained)
 
 
 def bonus_pool(q: ProfileLike, costs: CostModel) -> Contract:
@@ -552,8 +601,9 @@ def bonus_pool(q: ProfileLike, costs: CostModel) -> Contract:
         raise DegenerateProfile("bonus pool undefined when some q_i = 0")
     prod = float(np.prod(prof.as_array()))
     pays = np.array([prof[i] * costs.marginal(i, prof[i]) / prod for i in range(n)])
-    table = np.zeros((1 << n, n))
+    table = _empty_table(n)
     table[(1 << n) - 1] = pays
+    table.setflags(write=False)
     return Contract(n, table, budget=1.0, unconstrained=bool(pays.sum() > 1.0))
 
 

@@ -4,12 +4,15 @@ An agent's best response solves c_i'(p_i) = max(0, r_i) where r_i is the
 expected reward gain from succeeding rather than failing, computed exactly
 over all outcomes of the other agents and scaled by the contract budget.
 Since E_p[f_i(S)] is multilinear in p, r_i is its derivative in p_i, read
-off the contract's own table: the table is contracted with the outcome
-tables of the two halves of the agents and their derivatives, two stacked
-matrix products for every agent's r_i at one profile or a whole batch, and
-no second table is built. Equilibria are found by damped
-simultaneous best-response iteration from several starting profiles;
-every fixed point found is reported.
+off the contract's own table. The table is stored agent-major, so agent
+i's column is one contiguous (2**(n - h), 2**h) matrix, h = n // 2, whose
+rows and columns are the outcomes of the high and the low agents. It is
+contracted with the outcome table of the other half and the derivative
+table of agent i's own half: one stacked matrix product per half for every
+agent's r_i at one profile or a whole batch, in row blocks small enough for
+BLAS to run on the calling thread. No second table is built. Equilibria are
+found by damped simultaneous best-response iteration from several starting
+profiles; every fixed point found is reported.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .core import (
     EquilibriumResult,
     Profile,
     ProfileLike,
+    _empty_table,
     _outcome_table,
     as_profile,
     membership,
@@ -54,17 +58,22 @@ class SolverOptions:
             raise ValueError("max_iterations must be at least 1")
 
 
+# Multiply-adds per matrix product in a sweep. On 2 cores OpenBLAS 0.3.31 ran
+# products of up to 2**19 multiply-adds on the calling thread and split those
+# of 2**21 across threads; half the former keeps every product on one thread,
+# so a sweep's time does not hang on other threads.
+_PRODUCT_SIZE = 1 << 18
+
+
 class _Workspace:
     """Per-contract views and index arrays reused across best-response sweeps.
 
     An outcome mask m = hi * B + lo splits into the bits lo of the low
     agents 0..h-1 and hi of the high agents h..n-1, with h = n // 2,
-    B = 2**h and A = 2**(n - h). `low_cols` views the low agents' columns
-    of the contract's table as B stacked (A, h) matrices, one per lo, and
-    `high_cols` the high agents' columns as A stacked (B, n - h) matrices,
-    one per hi; no other table and no copy of it is made. Every matrix
-    product is thin, k rows by at most n - h columns, so BLAS runs each on
-    the calling thread and a sweep's time does not hang on other threads.
+    B = 2**h and A = 2**(n - h). Contract tables are stored agent-major, so
+    `cols` views the table, without a copy, as one contiguous (A, B) matrix
+    per agent: cols[i, hi, lo] = table[hi * B + lo, i]. No other table is
+    made.
     """
 
     def __init__(self, f: Contract):
@@ -72,8 +81,7 @@ class _Workspace:
         half = n - h
         self.n, self.h = n, h
         self.table = f.table
-        t3 = f.table.reshape(1 << half, 1 << h, n)
-        self.low_cols, self.high_cols = t3[:, :, :h].transpose(1, 0, 2), t3[:, :, h:]
+        self.cols = f.table.T.reshape(n, 1 << half, 1 << h)
         self.budget = f.budget
         self.c_at_one: np.ndarray | None = None
         # Agent j's factors in row r of half s (0 low, 1 high) are
@@ -92,26 +100,40 @@ class _Workspace:
         self.scale[own], self.offset[own] = 0.0, [[[-1.0]], [[1.0]]]
 
 
+def _row_blocks(rows: int, cols: int, k: int) -> list[slice]:
+    """Row blocks of a (rows, cols) matrix whose products with k profiles fit _PRODUCT_SIZE.
+
+    A block is never shorter than one row, so only a batch wider than
+    _PRODUCT_SIZE / cols gives larger products.
+    """
+    step = max(1, _PRODUCT_SIZE // (cols * k))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def _marginal_gains(ws: _Workspace, p: np.ndarray) -> np.ndarray:
     """Every agent's marginal gain at one profile (n,) or each row of a (k, n) batch.
 
-    E_p[f_i(S)] is multilinear in p, so r_i is its derivative in p_i: the
-    contract's table contracted with the outcome table of the other half and
-    with the derivative in p_i of the outcome table of agent i's half, which
-    is that table with agent i's factors (1 - p_i, p_i) replaced by (-1, 1).
-    Nothing is divided, so the gains are exact for every p_i in [0, 1], and
-    they do not depend on p_i.
+    E_p[f_i(S)] is multilinear in p, so r_i is its derivative in p_i: agent
+    i's (A, B) matrix contracted with the outcome table of the other half
+    and with the derivative in p_i of the outcome table of agent i's half,
+    which is that table with agent i's factors (1 - p_i, p_i) replaced by
+    (-1, 1). Nothing is divided, so the gains are exact for every p_i in
+    [0, 1], and they do not depend on p_i.
     """
     batch = p.reshape(-1, ws.n).T  # the batch runs along the last axis from here
+    k = batch.shape[1]
     # (2**half, 1 + half rows, 2 halves, k); row 1 + j is agent j's slope table.
     tables = _outcome_table(batch[ws.probes] * ws.scale + ws.offset)
-    h, low_size = ws.h, 1 << ws.h
-    # Low agents: V[lo, i] = sum_hi high[hi] table[hi * B + lo, i], B stacked products.
-    v = tables[:, 0, 1].T @ ws.low_cols
-    r_low = (tables[:low_size, 1:h + 1, 0] * v.transpose(0, 2, 1)).sum(axis=0)
-    # High agents: W[hi, i] = sum_lo low[lo] table[hi * B + lo, i], A stacked products.
-    w = tables[:low_size, 0, 0].T @ ws.high_cols
-    r_high = (tables[:, 1:, 1] * w.transpose(0, 2, 1)).sum(axis=0)
+    h, (a, b) = ws.h, ws.cols.shape[1:]
+    high, low = tables[:, 0, 1], tables[:b, 0, 0]
+    # Low agents: V[i, :, lo] = sum_hi high[hi] cols[i, hi, lo]. High agents:
+    # W[i, hi] = sum_lo cols[i, hi, lo] low[lo]. One stacked product per half
+    # and row block.
+    blocks = _row_blocks(a, b, k)
+    v = sum(high.T[:, rows] @ ws.cols[:h, rows] for rows in blocks)
+    w = np.concatenate([ws.cols[h:, rows] @ low for rows in blocks], axis=1)
+    r_low = np.einsum("lik,ikl->ik", tables[:b, 1:h + 1, 0], v)
+    r_high = np.einsum("hik,ihk->ik", tables[:, 1:, 1], w)
     return (np.concatenate((r_low, r_high)) * ws.budget).T.reshape(p.shape)
 
 
@@ -281,14 +303,17 @@ def fgn_normalize(f: Contract, p: ProfileLike, costs: CostModel,
             f"profile is not an equilibrium of the contract: residual {residual:.3g} "
             f"> tolerance {tolerance:.3g}"
         )
-    success = f.table * membership(f.n)  # rewards paid to agents that succeeded
-    paid = outcome_probabilities(arr) @ success * f.budget  # p_i E[f_i | i in S]
+    table = _empty_table(f.n)
+    np.multiply(f.table, membership(f.n), out=table)  # rewards paid to agents that succeeded
+    paid = outcome_probabilities(arr) @ table * f.budget  # p_i E[f_i | i in S]
     r = _marginal_gains(ws, arr)
     lam = np.zeros(f.n)
     for i in np.flatnonzero(arr > 0.0):
         # First-order condition bounds the ratio by 1; clip rounding spill.
         lam[i] = min(1.0, max(0.0, r[i] * arr[i] / paid[i]))
-    g = Contract(f.n, success * lam, budget=f.budget, unconstrained=f.unconstrained)
+    table *= lam
+    table.setflags(write=False)
+    g = Contract(f.n, table, budget=f.budget, unconstrained=f.unconstrained)
     check = equilibrium_residual(g, prof, costs)
     if check > tolerance:
         raise NotAnEquilibrium(

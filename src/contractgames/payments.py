@@ -18,6 +18,7 @@ from .core import (
     Contract,
     CostModel,
     ProfileLike,
+    _empty_table,
     as_profile,
     membership,
     outcome_probabilities,
@@ -113,7 +114,7 @@ def implementing_fgn_samples(q: ProfileLike, costs: CostModel, count: int,
     cond_probs = [forced_probs[i, masks_with[i]] for i in range(n)]
     samples = []
     for _ in range(count):
-        table = np.zeros((1 << n, n))
+        table = _empty_table(n)
         for i in range(n):
             pi = cond_probs[i]
             noise = rng.uniform(-scale, scale, size=pi.size)
@@ -121,6 +122,7 @@ def implementing_fgn_samples(q: ProfileLike, costs: CostModel, count: int,
             col = np.maximum(base[i] + noise, 0.0)
             col *= base[i] / (pi @ col)
             table[masks_with[i], i] = col
+        table.setflags(write=False)
         samples.append(Contract(n, table, budget=1.0, unconstrained=True))
     return samples
 

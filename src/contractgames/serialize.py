@@ -12,7 +12,14 @@ from typing import Any
 
 import numpy as np
 
-from .core import Contract, EquilibriumResult, LuceSpec, _check_n, mask_agents, validate_mask
+from .core import (
+    Contract,
+    EquilibriumResult,
+    LuceSpec,
+    _empty_table,
+    mask_agents,
+    validate_mask,
+)
 from .luce import SynthesisResult
 from .maximal import ConditionReport, FrontierResult
 from .optimize import Optimum
@@ -74,8 +81,7 @@ def contract_to_dict(f: Contract) -> dict:
 
 def contract_from_dict(doc: dict) -> Contract:
     n = int(doc["n"])
-    _check_n(n)
-    table = np.zeros((1 << n, n))
+    table = _empty_table(n)
     for row in doc["table"]:
         mask = int(row["subset_bits"])
         validate_mask(mask, n)
@@ -83,6 +89,7 @@ def contract_from_dict(doc: dict) -> Contract:
         if len(shares) != n:
             raise ValueError(f"row for mask {mask} has {len(shares)} shares, expected {n}")
         table[mask] = shares
+    table.setflags(write=False)
     return Contract(
         n,
         table,

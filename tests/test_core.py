@@ -12,10 +12,14 @@ from contractgames import (
     PowerCost,
     Profile,
     TabulatedMonotone,
+    SolverOptions,
     bonus_pool,
     classify,
     equal_split,
     expand_luce,
+    fgn_normalize,
+    find_equilibria,
+    implementing_fgn_samples,
     mask_agents,
     outcome_prob,
     outcome_probabilities,
@@ -23,6 +27,8 @@ from contractgames import (
     subset_mask,
     zero_contract,
 )
+from contractgames import core
+from contractgames.serialize import contract_from_dict, contract_to_dict
 from contractgames.core import membership
 
 import oracles
@@ -98,15 +104,56 @@ def test_contract_copies_any_table_it_does_not_own():
     f = Contract(2, rows)
     rows[3] = 0.5  # the caller's array stays writable and the contract's copy does not move
     assert f.table[3, 0] == 0.25 and not f.table.flags.writeable
-    frozen = np.full((4, 2), 0.25)
+    frozen = np.full((4, 2), 0.25, order="F")
     frozen.setflags(write=False)
     assert Contract(2, frozen).table is frozen
-    view = frozen[:, :]  # read-only but not owning its data
-    assert Contract(2, view).table is not view
+    row_major = np.full((4, 2), 0.25)  # read-only and owning its data, but row-major
+    row_major.setflags(write=False)
+    writable = np.full((4, 2), 0.25, order="F")
+    view = frozen[:, :]  # read-only and F-ordered, but not owning its data
+    for supplied in (rows, row_major, writable, view):
+        g = Contract(2, supplied)
+        assert g.table is not supplied and not np.shares_memory(g.table, supplied)
+        assert g.table.flags.f_contiguous and not g.table.flags.writeable
+    # Tables taller than one copy block come out agent-major with every entry in place.
+    table = np.random.default_rng(3).uniform(0.0, 1.0, size=(1 << 11, 11))
+    g = Contract(11, table, unconstrained=True)
+    assert g.table.flags.f_contiguous and np.array_equal(g.table, table)
     for g in (equal_split(3), expand_luce(LuceSpec.single_block((1.0, 2.0, 3.0)), 3)):
         assert not g.table.flags.writeable
         with pytest.raises(ValueError):
             g.table[1, 0] = 0.0
+
+
+def test_constructors_hand_over_agent_major_tables(monkeypatch):
+    # Every library constructor builds its table agent-major, read-only and
+    # owning its data, so Contract keeps it: none may reach the copy.
+    costs = CostModel.power([3.0, 4.0, 5.0])
+    q = (0.2, 0.3, 0.25)
+    f = equal_split(3)
+    p = find_equilibria(f, costs, SolverOptions(seed=0))[0].profile
+    doc = contract_to_dict(expand_luce(LuceSpec(((2,), (0, 1)), (1.0, 1.0, 2.0)), 3))
+
+    def refuse(table):
+        raise AssertionError("a constructor's table was copied")
+
+    monkeypatch.setattr(core, "_agent_major_copy", refuse)
+    built = [equal_split(1), zero_contract(1), expand_luce(LuceSpec.single_block((1.0,)), 1)]
+    for n in (3, 16):
+        tiers = LuceSpec((tuple(range(n // 2)), tuple(range(n // 2, n))), tuple(range(1, n + 1)))
+        built += [equal_split(n), zero_contract(n), expand_luce(tiers, n)]
+        assert built[-1].with_budget(2.0).table is built[-1].table
+    built += [
+        Contract.from_rows(3, {0b011: (0.5, 0.5, 0.0)}),
+        piece_rate(q, costs, unconstrained=True),
+        bonus_pool(q, costs),
+        *implementing_fgn_samples(q, costs, 2, seed=0),
+        fgn_normalize(f, p, costs),
+        contract_from_dict(doc),
+    ]
+    for g in built:
+        assert g.table.flags.f_contiguous and g.table.flags.owndata
+        assert not g.table.flags.writeable
 
 
 def test_membership_matches_bit_shifts():

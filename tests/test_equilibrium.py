@@ -119,21 +119,54 @@ def test_marginal_gains_match_gain_table_oracle_at_n16():
         assert np.max(np.abs(gains - oracles.gain_table_gains(f, batch))) <= 1e-12
 
 
+def test_marginal_gains_match_gain_table_oracle_across_n():
+    # n = 1 has no low agents and n = 2 one agent per half; odd n pads the low
+    # half. At n = 17 with k = 8 each agent's rows split into several blocks.
+    # The row-major table is the caller's, copied agent-major; the
+    # unconstrained one pays failures, so gains can be negative.
+    rng = np.random.default_rng(117)
+    for n in (1, 2, 3, 5, 9, 17):
+        row_major = np.ascontiguousarray(rng.dirichlet(np.ones(n + 1), size=1 << n)[:, :n])
+        pays_failures = rng.uniform(0.0, 1.0, size=(1 << n, n))
+        for f in (Contract(n, row_major, budget=rng.uniform(0.5, 2.0)),
+                  Contract(n, pays_failures, unconstrained=True)):
+            ws = equilibrium._Workspace(f)
+            for shape in ((n,), (8, n)):
+                p = rng.uniform(0.0, 0.95, size=shape)
+                p[..., rng.integers(n)] = 0.0
+                gains = equilibrium._marginal_gains(ws, p)
+                assert gains.shape == shape
+                assert np.max(np.abs(gains - oracles.gain_table_gains(f, p))) <= 1e-12
+
+
 def test_workspace_views_table_as_thin_stacked_blocks():
-    # Every matrix product of a sweep is k rows by at most n - h columns, and
-    # its operand is the contract's own table, not a copy.
+    # Each agent's (A, B) matrix is a contiguous block of the contract's own
+    # table, not a copy, and cols[i, hi, lo] is table[hi * B + lo, i].
     for n in (1, 2, 5, 16):
         f = equal_split(n)
         ws = equilibrium._Workspace(f)
         h = n // 2
-        assert ws.low_cols.shape == (1 << h, 1 << (n - h), h)
-        assert ws.high_cols.shape == (1 << (n - h), 1 << h, n - h)
-        for view in (ws.low_cols, ws.high_cols):
-            # At n = 1 the low half is empty and its view holds no memory.
-            assert view.base is not None and (view.size == 0 or np.shares_memory(view, f.table))
+        assert ws.cols.shape == (n, 1 << (n - h), 1 << h)
+        assert ws.cols.flags.c_contiguous and ws.cols.base is not None
+        assert np.shares_memory(ws.cols, f.table)
+        for i in range(n):
+            assert np.array_equal(ws.cols[i].ravel(), f.table[:, i])
         lo, hi = (1 << h) - 1, (1 << (n - h)) - 1
-        assert np.array_equal(ws.low_cols[lo, hi], f.table[hi * (1 << h) + lo, :h])
-        assert np.array_equal(ws.high_cols[hi, lo], f.table[hi * (1 << h) + lo, h:])
+        assert np.array_equal(ws.cols[:, hi, lo], f.table[hi * (1 << h) + lo])
+
+
+def test_sweep_products_stay_within_single_thread_size():
+    # A sweep's products are k by block by B (low agents) and block by B by k
+    # (high agents): row blocks of each agent's (A, B) matrix keep every one
+    # within _PRODUCT_SIZE multiply-adds, and together they cover all A rows.
+    assert equilibrium._PRODUCT_SIZE <= 1 << 18
+    for n in range(1, 21):
+        a, b = 1 << (n - n // 2), 1 << (n // 2)
+        for k in (1, 2, 8, 9, 64):
+            blocks = equilibrium._row_blocks(a, b, k)
+            assert [r for s in blocks for r in range(a)[s]] == list(range(a))
+            assert all(k * len(range(a)[s]) * b <= equilibrium._PRODUCT_SIZE for s in blocks)
+    assert len(equilibrium._row_blocks(1 << 10, 1 << 10, 8)) == 32  # n = 20, k = 8
 
 
 def test_marginal_gain_ignores_own_probability():
