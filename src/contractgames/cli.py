@@ -16,8 +16,6 @@ import io
 import json
 import sys
 
-import jsonschema
-
 from . import serialize
 from .core import CostModel, Profile, bonus_pool, classify, expand_luce, piece_rate
 from .equilibrium import SolverOptions, find_equilibria
@@ -128,9 +126,18 @@ def _costs_from_entries(entries) -> CostModel:
 
 
 def load_config(path: str) -> dict:
+    """Read and validate a problem-config document; a schema violation is a ValueError.
+
+    jsonschema is imported here, so only --config pays for loading it.
+    """
+    import jsonschema
+
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    jsonschema.validate(doc, PROBLEM_CONFIG_SCHEMA)
+    try:
+        jsonschema.validate(doc, PROBLEM_CONFIG_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise ValueError(str(exc)) from exc
     if len(doc["costs"]) != doc["n"]:
         raise ValueError(
             f"config lists {len(doc['costs'])} cost entries for n={doc['n']}"
@@ -436,7 +443,6 @@ def run(argv=None) -> int:
         ValueError,
         OSError,
         json.JSONDecodeError,
-        jsonschema.ValidationError,
         BudgetExceeded,
         DegenerateProfile,
         NotAdmissible,

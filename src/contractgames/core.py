@@ -374,8 +374,8 @@ class Contract:
 
     def __post_init__(self):
         _check_n(self.n)
-        if not self.budget > 0:
-            raise ValueError(f"budget must be positive, got {self.budget}")
+        if not 0 < self.budget < np.inf:
+            raise ValueError(f"budget must be positive and finite, got {self.budget}")
         table = self.table
         if np.shape(table) != (1 << self.n, self.n):
             raise ValueError(
@@ -385,8 +385,8 @@ class Contract:
                 and table.flags.f_contiguous and table.flags.owndata
                 and not table.flags.writeable):
             table = _agent_major_copy(table)
-        if np.any(table < 0.0):
-            raise ValueError("limited liability violated: negative share in table")
+        if not np.all(table >= 0.0):  # also catches NaN
+            raise ValueError("limited liability violated: negative or NaN share in table")
         if not self.unconstrained:
             sums = table.sum(axis=1)
             worst = int(np.argmax(sums))

@@ -14,12 +14,12 @@ is provided for cross-checking.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import bisect, minimize
 
 from .core import Contract, CostModel, LuceSpec, Profile
 from .errors import (
@@ -172,8 +172,11 @@ class _ProfileSearch:
 
         SLSQP can stop a hair outside an active constraint (status 8), so
         two Gauss-Newton steps then project onto the violated inequalities
-        and the equalities.
+        and the equalities. scipy is imported here, the only place that
+        needs it, so importing the package does not load it.
         """
+        from scipy.optimize import minimize
+
         k = 1 + len(self.cuts)
         masks = np.vstack([self.cuts, equal])
         last: list = [None, None]  # the solver asks for values and Jacobian separately
@@ -383,9 +386,13 @@ def lambda_thresholds(c1: float, c2: float) -> tuple[float, float]:
 def two_agent_optimal_lambda(c1: float, c2: float, w: float) -> float:
     """Optimal joint share for the objective w p_1 + p_2.
 
-    Corner solutions bind at the closed-form thresholds; in between the
-    optimum is the unique root of dp2/dp1 = -w, located by bisection to
-    1e-12. Increasing in w, and exactly 1/2 at w = 1 for any costs.
+    Corner solutions bind at the closed-form thresholds. In between, the
+    optimum is the root in [0, 1] of dp2/dp1 = -w, which is the quadratic
+    a lam^2 - 2 b lam + c = 0 with a = 1 - w, b = c1 + w (c2 - 1) > 0 and
+    c = c1 + c2 - 1 - a (c1 c2 + c2 - 1). That root is taken without
+    cancellation as c / (b + sqrt(b^2 - a c)); at w = 1, a = 0 and it is
+    exactly 1/2 for any costs. Next to a threshold, rounding can carry the
+    root a few ulps outside [0, 1], so it is clipped. Increasing in w.
     """
     _check_two_agent(c1, c2)
     if not w > 0:
@@ -395,9 +402,8 @@ def two_agent_optimal_lambda(c1: float, c2: float, w: float) -> float:
         return 0.0
     if w >= upper:
         return 1.0
-
-    def slope(lam: float) -> float:
-        dp1, dp2 = two_agent_equilibrium_derivatives(c1, c2, lam)
-        return dp2 / dp1 + w
-
-    return float(bisect(slope, 0.0, 1.0, xtol=1e-12))
+    a = 1.0 - w
+    s = c1 + c2 - 1.0
+    b = s - a * (c2 - 1.0)
+    c = s - a * (c1 * c2 + c2 - 1.0)
+    return min(1.0, max(0.0, c / (b + math.sqrt(b * b - a * c))))

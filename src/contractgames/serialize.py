@@ -79,23 +79,51 @@ def contract_to_dict(f: Contract) -> dict:
     }
 
 
-def contract_from_dict(doc: dict) -> Contract:
-    n = int(doc["n"])
+def _is_number_type(t: type) -> bool:
+    """Python and numpy ints and floats; bool, a subclass of int, is not a number here."""
+    return issubclass(t, (int, float, np.integer, np.floating)) and t is not bool
+
+
+def _integer(value: Any, what: str) -> int:
+    if not (isinstance(value, (int, np.integer)) and type(value) is not bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def contract_from_dict(doc: Any) -> Contract:
+    """The contract a JSON document describes; a malformed document raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a contract document must be a JSON object, got {type(doc).__name__}")
+    missing = [key for key in ("n", "table") if key not in doc]
+    if missing:
+        raise ValueError(f"contract document lacks {', '.join(missing)}")
+    n = _integer(doc["n"], "n")
+    budget = doc.get("budget", 1.0)
+    if not _is_number_type(type(budget)):
+        raise ValueError(f"budget must be a number, got {budget!r}")
+    unconstrained = doc.get("unconstrained", False)
+    if not isinstance(unconstrained, bool):
+        raise ValueError(f"unconstrained must be true or false, got {unconstrained!r}")
+    if not isinstance(doc["table"], list):
+        raise ValueError("table must be a list of rows")
     table = _empty_table(n)
+    number_types: set[type] = set()  # the share types seen so far, all numbers
     for row in doc["table"]:
-        mask = int(row["subset_bits"])
+        if not (isinstance(row, dict) and "subset_bits" in row and "shares" in row):
+            raise ValueError(f"table row {row!r} needs subset_bits and shares")
+        mask = _integer(row["subset_bits"], "subset_bits")
         validate_mask(mask, n)
         shares = row["shares"]
-        if len(shares) != n:
-            raise ValueError(f"row for mask {mask} has {len(shares)} shares, expected {n}")
+        if not (isinstance(shares, list) and len(shares) == n):
+            raise ValueError(f"row for mask {mask} needs a list of {n} shares, got {shares!r}")
+        types = set(map(type, shares))
+        if not types <= number_types:
+            if not all(map(_is_number_type, types)):
+                raise ValueError(f"row for mask {mask} has a share that is not a number: {shares!r}")
+            number_types |= types
         table[mask] = shares
     table.setflags(write=False)
-    return Contract(
-        n,
-        table,
-        budget=float(doc.get("budget", 1.0)),
-        unconstrained=bool(doc.get("unconstrained", False)),
-    )
+    return Contract(n, table, float(budget), unconstrained)
 
 
 # -- specs and reports --------------------------------------------------------

@@ -2,24 +2,26 @@
 
 Everything here deliberately avoids the library's fast paths: probabilities
 come from explicit enumeration over outcome tuples, best responses from
-numeric utility maximization, and the two-agent equilibrium from a direct
-linear solve of the first-order conditions. Contract tables are filled by
-loops over outcome masks, and the fixed-point iteration runs one start at a
-time, as the library did before those paths were vectorised, and marginal
-gains also come from the library's former table of share gains. The principal's
-problem is solved by the library's former search over contract weights:
-every ordered partition, a weight grid per partition, then Nelder-Mead. The
-subset inequality is checked on all 2^n - 1 subsets, and Luce weights come
-from the library's former damped multiplicative iteration on 2^n tables.
-Uniqueness of the implementing Luce contract is audited by perturbing it and
-solving the perturbed contracts' tables.
+numeric utility maximization, the two-agent equilibrium from a direct
+linear solve of the first-order conditions, and the two-agent optimal share
+by bisection instead of the library's quadratic formula. Contract tables
+are filled by loops over outcome masks, and the fixed-point iteration runs
+one start at a time, as the library did before those paths were vectorised,
+and marginal gains also come from the library's former table of share
+gains. The principal's problem is solved by the library's former search
+over contract weights: every ordered partition, a weight grid per
+partition, then Nelder-Mead. The subset inequality is checked on all
+2^n - 1 subsets, and Luce weights come from the library's former damped
+multiplicative iteration on 2^n tables. Uniqueness of the implementing Luce
+contract is audited by perturbing it and solving the perturbed contracts'
+tables.
 """
 
 import itertools
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import bisect, minimize, minimize_scalar
 
 from contractgames.core import (
     LuceSpec,
@@ -39,6 +41,7 @@ from contractgames.equilibrium import (
 from contractgames.errors import NoConvergence
 from contractgames.luce import derive_partition, required_budget
 from contractgames.maximal import TIGHT_TOL, ConditionReport
+from contractgames.optimize import lambda_thresholds, two_agent_equilibrium_derivatives
 
 
 def all_outcomes(n):
@@ -118,6 +121,21 @@ def two_agent_foc_solve(c1, c2, lam):
     """
     a = np.array([[c1, 1.0 - lam], [lam, c2]])
     return tuple(np.linalg.solve(a, np.ones(2)))
+
+
+def two_agent_optimal_lambda_bisect(c1, c2, w):
+    """The two-agent optimal share by bisection on dp2/dp1 + w, as the library once found it."""
+    lower, upper = lambda_thresholds(c1, c2)
+    if w <= lower:
+        return 0.0
+    if w >= upper:
+        return 1.0
+
+    def slope(lam):
+        dp1, dp2 = two_agent_equilibrium_derivatives(c1, c2, lam)
+        return dp2 / dp1 + w
+
+    return float(bisect(slope, 0.0, 1.0, xtol=1e-12))
 
 
 def central_diff(fn, x, h=1e-6):

@@ -148,6 +148,52 @@ def test_solve_rejects_subset_bits_outside_n(tmp_path, capsys, bits):
     assert err.startswith("error: outcome mask") and "Traceback" not in err
 
 
+_EQUAL_SPLIT_2 = serialize.contract_to_dict(equal_split(2))
+
+
+@pytest.mark.parametrize("doc", [
+    [_EQUAL_SPLIT_2],
+    "equal split",
+    {k: v for k, v in _EQUAL_SPLIT_2.items() if k != "table"},
+    {k: v for k, v in _EQUAL_SPLIT_2.items() if k != "n"},
+    {**_EQUAL_SPLIT_2, "table": [{"subset_bits": 3}]},
+    {**_EQUAL_SPLIT_2, "table": {"subset_bits": 3, "shares": [0.5, 0.5]}},
+    {**_EQUAL_SPLIT_2, "table": [[3, [0.5, 0.5]]]},
+    {**_EQUAL_SPLIT_2, "table": [{"subset_bits": 3, "shares": [None, 0.5]}]},
+    {**_EQUAL_SPLIT_2, "table": [{"subset_bits": 3, "shares": ["0.5", 0.5]}]},
+    {**_EQUAL_SPLIT_2, "table": [{"subset_bits": 3, "shares": 0.5}]},
+    {**_EQUAL_SPLIT_2, "table": [{"subset_bits": "3", "shares": [0.5, 0.5]}]},
+    {**_EQUAL_SPLIT_2, "budget": None},
+    {**_EQUAL_SPLIT_2, "budget": "1"},
+    {**_EQUAL_SPLIT_2, "n": 2.7},
+    {**_EQUAL_SPLIT_2, "n": True},
+    {**_EQUAL_SPLIT_2, "unconstrained": "no"},
+], ids=["list", "string", "no-table", "no-n", "no-shares", "table-object", "row-list",
+        "null-share", "string-share", "scalar-shares", "string-bits", "null-budget",
+        "string-budget", "fractional-n", "bool-n", "string-unconstrained"])
+def test_solve_rejects_malformed_contract_document(tmp_path, capsys, doc):
+    path = tmp_path / "contract.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "solve", "--contract", str(path), "--costs", "power:2:2,power:2:2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_solve_rejects_non_finite_budget(tmp_path, capsys):
+    # json.dumps writes Infinity, which json.load reads back as a float
+    path = tmp_path / "contract.json"
+    path.write_text(json.dumps({**_EQUAL_SPLIT_2, "budget": float("inf")}))
+    code, out, err = run_cli(
+        capsys, "solve", "--contract", str(path), "--costs", "power:2:2,power:2:2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "positive and finite" in err
+
+
 def test_solve_applies_budget_normalization(tmp_path, capsys):
     # budget 2 with scales (4, 4) is the same game as budget 1 with (2, 2)
     path = tmp_path / "contract.json"

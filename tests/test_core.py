@@ -301,6 +301,22 @@ def test_contract_validation():
         Contract(21, np.zeros((2 ** 21, 21)))
 
 
+@pytest.mark.parametrize("unconstrained", [False, True])
+def test_contract_rejects_nan_shares(unconstrained):
+    table = np.zeros((4, 2))
+    table[3] = (np.nan, 0.5)
+    with pytest.raises(ValueError, match="NaN"):
+        Contract(2, table, unconstrained=unconstrained)
+
+
+@pytest.mark.parametrize("budget", [np.inf, np.nan, 0.0, -1.0])
+def test_contract_rejects_budget_that_is_not_positive_and_finite(budget):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Contract(2, np.zeros((4, 2)), budget)
+    with pytest.raises(ValueError, match="positive and finite"):
+        equal_split(2).with_budget(budget)
+
+
 def test_contract_table_read_only():
     f = equal_split(2)
     with pytest.raises(ValueError):

@@ -97,6 +97,30 @@ def test_optimal_lambda_interior_solves_first_order_condition():
         assert dp2 / dp1 == pytest.approx(-w, abs=1e-9)
 
 
+def test_optimal_lambda_matches_bisection():
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        c1, c2 = np.exp(rng.uniform(np.log(1.01), np.log(50.0), 2))
+        lower, upper = lambda_thresholds(c1, c2)
+        w = rng.uniform(0.9 * lower, 1.1 * upper)
+        assert two_agent_optimal_lambda(c1, c2, w) == pytest.approx(
+            oracles.two_agent_optimal_lambda_bisect(c1, c2, w), abs=1e-11)
+
+
+# (1.2, 5.0) puts the unclipped root one ulp above 1 just below the upper threshold.
+@pytest.mark.parametrize("c1, c2", [(1.2, 1.2), (1.2, 5.0), (1.2, 20.0), (2.0, 2.0), (5.0, 2.0),
+                                    (20.0, 20.0)])
+def test_optimal_lambda_at_one_and_at_the_thresholds(c1, c2):
+    assert two_agent_optimal_lambda(c1, c2, 1.0) == 0.5
+    lower, upper = lambda_thresholds(c1, c2)
+    for w in (lower, np.nextafter(lower, 2.0), np.nextafter(upper, 0.0), upper):
+        lam = two_agent_optimal_lambda(c1, c2, w)
+        assert 0.0 <= lam <= 1.0
+        assert lam == pytest.approx(oracles.two_agent_optimal_lambda_bisect(c1, c2, w), abs=1e-11)
+    assert two_agent_optimal_lambda(c1, c2, lower) == 0.0
+    assert two_agent_optimal_lambda(c1, c2, upper) == 1.0
+
+
 def test_optimal_lambda_monotone_in_w():
     grid = np.linspace(0.05, 3.0, 60)
     lams = [two_agent_optimal_lambda(2, 3, w) for w in grid]
