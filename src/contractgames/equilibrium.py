@@ -11,13 +11,15 @@ contracted with the outcome table of the other half and the derivative
 table of agent i's own half: one stacked matrix product per half for every
 agent's r_i at one profile or a whole batch, in row blocks small enough for
 BLAS to run on the calling thread. No second table is built. Equilibria are
-found by damped simultaneous best-response iteration from several starting
-profiles; every fixed point found is reported.
+found by simultaneous best-response iteration from several starting
+profiles, each step a secant (depth-1 Anderson) step on the residual
+BR(p) - p; every fixed point found is reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -36,12 +38,17 @@ from .core import (
 from .errors import NotAdmissible, NotAnEquilibrium
 
 _DEDUP_TOL = 1e-6
-_OSCILLATION_WINDOW = 10
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the fixed-point iteration."""
+    """Knobs for the fixed-point iteration.
+
+    `damping` scales each sweep's step along the residual BR(p) - p, before
+    the secant correction; `max_iterations` caps the sweeps per start, each
+    one best-response evaluation of the whole batch.
+    """
 
     tolerance: float = 1e-10
     max_iterations: int = 10_000
@@ -195,13 +202,25 @@ def _solo_start(ws: _Workspace, costs: CostModel) -> np.ndarray:
     return costs.inverse_marginal_vec(r0)
 
 
-def _iterate(ws: _Workspace, costs: CostModel, starts: np.ndarray,
+def _iterate(best_responses: Callable[[np.ndarray], np.ndarray], starts: np.ndarray,
              opts: SolverOptions) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Damped best-response iteration from each row of `starts`, as one batch.
+    """Secant-accelerated best-response iteration from each row of `starts`, as one batch.
 
-    Every start keeps its own damping, oscillation window and stop test; a
-    start leaves the batch once it converges. Returns per-start profiles,
-    final residuals, iteration counts and converged flags.
+    `best_responses` maps a (k, n) batch of profiles to their best
+    responses. Each start steps on its residual g = BR(x) - x by depth-1
+    Anderson mixing: with beta = opts.damping, dx = x_k - x_{k-1} and
+    dg = g_k - g_{k-1},
+
+        x_{k+1} = clip(x_k + beta g_k - gamma_k (dx + beta dg), 0, 1),
+        gamma_k = <dg, g_k> / <dg, dg>, or 0 when dg = 0,
+
+    which is a secant step along the last difference. It is computed from
+    the damped points u_k = x_k + beta g_k as u_k - gamma_k (u_k - u_{k-1}).
+    The first step has no difference and is u_0. A start has converged once
+    max |BR(x) - x| <= opts.tolerance at an evaluated x, and BR(x) is its
+    profile; it then leaves the batch. Returns per-start profiles (the last
+    best responses for starts that hit the cap), residuals, sweep counts
+    and converged flags.
     """
     k = starts.shape[0]
     profiles = np.empty_like(starts)
@@ -209,14 +228,13 @@ def _iterate(ws: _Workspace, costs: CostModel, starts: np.ndarray,
     iterations = np.full(k, opts.max_iterations)
     converged = np.zeros(k, dtype=bool)
     active = np.arange(k)
-    p = starts.copy()
-    damping = np.full(k, opts.damping)
-    # Residuals of the last _OSCILLATION_WINDOW sweeps, oldest first. All
-    # starts begin together, so the window fills at the same sweep for all.
-    window = np.zeros((k, _OSCILLATION_WINDOW))
+    beta = opts.damping
+    x = starts.copy()
+    u_prev = g_prev = None
     for it in range(1, opts.max_iterations + 1):
-        b = _best_responses(ws, p, costs)
-        residual = np.max(np.abs(b - p), axis=1)
+        b = best_responses(x)
+        g = b - x
+        residual = np.abs(g).max(axis=1)
         done = residual <= opts.tolerance
         if done.any():
             rows = active[done]
@@ -227,32 +245,37 @@ def _iterate(ws: _Workspace, costs: CostModel, starts: np.ndarray,
             keep = ~done
             if not keep.any():
                 return profiles, residuals, iterations, converged
-            active, p, b, residual = active[keep], p[keep], b[keep], residual[keep]
-            damping, window = damping[keep], window[keep]
-        window[:, :-1] = window[:, 1:]
-        window[:, -1] = residual
-        if it > _OSCILLATION_WINDOW:
-            rising = np.any(window[:, 1:] > window[:, :-1], axis=1)
-            damping[rising & (damping > 0.5)] = 0.5
-        d = damping[:, None]
-        p = (1.0 - d) * p + d * b
-    profiles[active] = p
+            active, x, b, g, residual = active[keep], x[keep], b[keep], g[keep], residual[keep]
+            if u_prev is not None:
+                u_prev, g_prev = u_prev[keep], g_prev[keep]
+        u = x + beta * g
+        if u_prev is None:
+            x = u
+        else:
+            dg = g - g_prev
+            # Where dg = 0, <dg, g> = 0 too, and gamma is 0.
+            gamma = (np.einsum("ij,ij->i", dg, g)
+                     / np.maximum(np.einsum("ij,ij->i", dg, dg), _TINY))
+            x = u - gamma[:, None] * (u - u_prev)
+        u_prev, g_prev = u, g
+        x = np.minimum(np.maximum(x, 0.0), 1.0)
+    profiles[active] = b
     residuals[active] = residual
     return profiles, residuals, iterations, converged
 
 
 def find_equilibria(f: Contract, costs: CostModel, options: SolverOptions | None = None,
                     initial_profiles: tuple[ProfileLike, ...] = ()) -> list[EquilibriumResult]:
-    """All Nash fixed points found by damped best-response iteration.
+    """All Nash fixed points found by secant-accelerated best-response iteration.
 
     Starts from the origin, each agent's solo optimum, and seeded random
     profiles (`options.starts` standard starts in total), plus any profiles
     in `initial_profiles`. All starts iterate together as one batch, but
-    each keeps its own damping and stop test: damping drops to 0.5 when that
-    start's residual stops decreasing monotonically, and a start leaves the
-    batch once it converges. The solver holds no table besides the
-    contract's: each sweep contracts it with the batch's half outcome tables
-    and their derivatives, one stacked matrix product per half.
+    each keeps its own secant history and stop test, and a start leaves the
+    batch once it converges (see `_iterate`). `iterations` counts a start's
+    accelerated sweeps. The solver holds no table besides the contract's:
+    each sweep contracts it with the batch's half outcome tables and their
+    derivatives, one stacked matrix product per half.
     Fixed points are deduplicated at 1e-6 in the max norm and sorted by
     total effort, highest first. Starts that fail to converge within the
     iteration budget are reported with converged=False rather than raised.
@@ -269,7 +292,8 @@ def find_equilibria(f: Contract, costs: CostModel, options: SolverOptions | None
     for extra in initial_profiles:
         starts.append(as_profile(extra, f.n).as_array())
 
-    raw = list(zip(*_iterate(ws, costs, np.array(starts), opts)))
+    per_start = _iterate(lambda p: _best_responses(ws, p, costs), np.array(starts), opts)
+    raw = list(zip(*per_start))
     # Prefer converged, tighter fixed points as dedup representatives.
     raw.sort(key=lambda r: (not r[3], r[1]))
     results: list[EquilibriumResult] = []

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Contract, CostModel, LuceSpec, Profile
+from .equilibrium import SolverOptions, _iterate
 from .errors import (
     ContractGameError,
     NoConvergence,
@@ -33,7 +34,8 @@ from .luce import _tier_gains, _tier_nodes, required_budget, synthesize_luce
 
 _STARTS = 8
 # Best-response sweeps for a start stop at this residual, as find_equilibria
-# does by default; a start only seeds the local solver.
+# does by default; a start only seeds the local solver. A start still short
+# of it after _START_SWEEPS sweeps is counted as failed.
 _START_TOL = 1e-10
 _START_SWEEPS = 10_000
 # Cuts are added until the most violated prefix has slack >= -_CUT_TOL.
@@ -253,29 +255,31 @@ class _ProfileSearch:
         return None
 
 
-def _single_tier_equilibrium(w: np.ndarray, costs: CostModel) -> np.ndarray:
+def _single_tier_equilibrium(w: np.ndarray, costs: CostModel) -> np.ndarray | None:
     """The equilibrium of the unit-budget single-tier contract with weights w.
 
-    Best-response sweeps from the origin, with the table-free gains that
-    synthesis uses, until max |BR(p) - p| <= _START_TOL. The quadrature's
-    weight-only terms are computed once.
+    find_equilibria's secant-accelerated sweeps from the origin, as a batch
+    of one, with the table-free gains that synthesis uses, until
+    max |BR(p) - p| <= _START_TOL. The quadrature's weight-only terms are
+    computed once. None when _START_SWEEPS sweeps do not get there.
     """
     nodes = _tier_nodes(w)
-    p = np.zeros(len(w))
-    for _ in range(_START_SWEEPS):
-        b = costs.inverse_marginal_vec(_tier_gains(nodes, p))
-        if np.max(np.abs(b - p)) <= _START_TOL:
-            break
-        p = b
-    return b
+    opts = SolverOptions(tolerance=_START_TOL, max_iterations=_START_SWEEPS)
+    profiles, _, _, converged = _iterate(
+        lambda p: costs.inverse_marginal_vec(_tier_gains(nodes, p[0]))[None],
+        np.zeros((1, len(w))), opts)
+    return profiles[0] if converged[0] else None
 
 
-def _starts(costs: CostModel, rng: np.random.Generator) -> list[np.ndarray]:
-    """Equilibria of single-tier contracts: equal weights, then random ones."""
+def _starts(costs: CostModel, rng: np.random.Generator) -> list[np.ndarray | None]:
+    """Equilibria of single-tier contracts: equal weights, then random ones.
+
+    A start whose sweeps did not converge is None.
+    """
     n = costs.n
     weights = [np.ones(n)] + [np.exp(rng.normal(size=n)) for _ in range(_STARTS - 1)]
-    return [np.clip(_single_tier_equilibrium(w, costs), _EDGE, 1.0 - _EDGE)
-            for w in weights[: _STARTS if n > 1 else 1]]
+    starts = [_single_tier_equilibrium(w, costs) for w in weights[: _STARTS if n > 1 else 1]]
+    return [None if p is None else np.clip(p, _EDGE, 1.0 - _EDGE) for p in starts]
 
 
 def _chain(partition: Sequence[Sequence[int]], n: int) -> np.ndarray:
@@ -297,9 +301,10 @@ def optimize_principal(objective: Objective, costs: CostModel,
     ranks the results that pass the feasibility check. For the best one,
     `synthesize_luce` recovers the contract, whose equilibrium residual it
     holds to 1e-10; the returned equilibrium is the synthesized profile, and
-    `value` is the objective there. A result that cannot be synthesized
-    counts as a failed start, and the next is tried. No 2^n table is built,
-    so any number of agents is accepted.
+    `value` is the objective there. A start whose best-response sweeps do
+    not converge, and a result that cannot be synthesized, count as failed
+    starts; the next result is tried. No 2^n table is built, so any number
+    of agents is accepted.
 
     `partitions` limits the search to the given ordered partitions by
     holding each one's unions B1, B1 u B2, ... tight; an optimum on the edge
@@ -322,8 +327,8 @@ def optimize_principal(objective: Objective, costs: CostModel,
     found = []
     for equal in chains:
         for p0 in starts:
-            p = search.solve(p0, equal)
-            if search.feasible(p):
+            p = None if p0 is None else search.solve(p0, equal)
+            if p is not None and search.feasible(p):
                 found.append((objective.value(p), p, equal))
             else:
                 failed += 1

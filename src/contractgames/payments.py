@@ -97,31 +97,31 @@ def implementing_fgn_samples(q: ProfileLike, costs: CostModel, count: int,
     sample. Noise is uniform on [-scale, scale] with scale defaulting to a
     quarter of the smallest per-success payment, which keeps truncation
     inactive at the default. Contracts carry the unconstrained flag.
+
+    Each sample draws all agents' noise at once, agent 0's first, so the
+    stream is that of one draw per agent in turn.
     """
     prof = require_interior(as_profile(q, costs.n))
     n = prof.n
     arr = prof.as_array()
-    base = costs.marginal_vec(arr)
+    base = costs.marginal_vec(arr)[:, None]
     if scale is None:
         scale = 0.25 * float(base.min())
     rng = np.random.default_rng(seed)
-    member = membership(n)
-    masks_with = [np.flatnonzero(member[:, i]) for i in range(n)]
+    # Row i: agent i's success outcomes, in ascending mask order.
+    succeeds = membership(n).T
     # Row i is the outcome distribution with agent i forced to succeed.
     forced = np.tile(arr, (n, 1))
     np.fill_diagonal(forced, 1.0)
-    forced_probs = outcome_probabilities(forced)
-    cond_probs = [forced_probs[i, masks_with[i]] for i in range(n)]
+    cond = outcome_probabilities(forced)[succeeds].reshape(n, -1)
     samples = []
     for _ in range(count):
+        noise = rng.uniform(-scale, scale, size=cond.shape)
+        noise -= np.einsum("ij,ij->i", cond, noise)[:, None]
+        cols = np.maximum(base + noise, 0.0, out=noise)
+        cols *= base / np.einsum("ij,ij->i", cond, cols)[:, None]
         table = _empty_table(n)
-        for i in range(n):
-            pi = cond_probs[i]
-            noise = rng.uniform(-scale, scale, size=pi.size)
-            noise -= pi @ noise
-            col = np.maximum(base[i] + noise, 0.0)
-            col *= base[i] / (pi @ col)
-            table[masks_with[i], i] = col
+        table.T[succeeds] = cols.ravel()
         table.setflags(write=False)
         samples.append(Contract(n, table, budget=1.0, unconstrained=True))
     return samples

@@ -7,12 +7,14 @@ linear solve of the first-order conditions, and the two-agent optimal share
 by bisection instead of the library's quadratic formula. Contract tables
 are filled by loops over outcome masks, and the fixed-point iteration runs
 one start at a time, as the library did before those paths were vectorised,
+both with the library's secant step and with its former plain damped step,
 and marginal gains also come from the library's former table of share
 gains. The principal's problem is solved by the library's former search
 over contract weights: every ordered partition, a weight grid per
 partition, then Nelder-Mead. The subset inequality is checked on all
 2^n - 1 subsets, and Luce weights come from the library's former damped
-multiplicative iteration on 2^n tables. Uniqueness of the implementing Luce
+multiplicative iteration on 2^n tables, and implementing FGN samples are drawn one agent at a time.
+Uniqueness of the implementing Luce
 contract is audited by perturbing it and solving the perturbed contracts'
 tables.
 """
@@ -32,7 +34,6 @@ from contractgames.core import (
     subset_mask,
 )
 from contractgames.equilibrium import (
-    _OSCILLATION_WINDOW,
     SolverOptions,
     _best_responses,
     _Workspace,
@@ -182,11 +183,66 @@ def piece_rate_table(q, costs):
     return table
 
 
+def implementing_fgn_tables(q, costs, count, seed, scale=None):
+    """The tables of `implementing_fgn_samples`, one agent and one noise draw at a time."""
+    n = len(q)
+    arr = np.array(q, dtype=float)
+    base = costs.marginal_vec(arr)
+    if scale is None:
+        scale = 0.25 * float(base.min())
+    rng = np.random.default_rng(seed)
+    masks_with = [[m for m in range(1 << n) if (m >> i) & 1] for i in range(n)]
+    forced = np.tile(arr, (n, 1))
+    np.fill_diagonal(forced, 1.0)
+    forced_probs = outcome_probabilities(forced)
+    tables = []
+    for _ in range(count):
+        table = np.zeros((1 << n, n))
+        for i in range(n):
+            pi = forced_probs[i, masks_with[i]]
+            noise = rng.uniform(-scale, scale, size=pi.size)
+            noise -= pi @ noise
+            col = np.maximum(base[i] + noise, 0.0)
+            col *= base[i] / (pi @ col)
+            table[masks_with[i], i] = col
+        tables.append(table)
+    return tables
+
+
 def iterate_single(ws, costs, start, opts):
-    """Damped best-response iteration of one start, as (p, residual, iterations, converged).
+    """Secant-accelerated best-response iteration of one start, as (p, residual, iterations, converged).
 
     Uses the library's best-response map on a single profile, so it pins
-    the batching and per-start bookkeeping, not the map itself.
+    the batching and per-start bookkeeping, not the map itself. Each step
+    is x + beta g - gamma (dx + beta dg), gamma = <dg, g> / <dg, dg> (0 when
+    dg = 0), clipped to [0, 1], on the residual g = BR(x) - x.
+    """
+    x = np.array(start, dtype=float)
+    beta = opts.damping
+    prev = None
+    for it in range(1, opts.max_iterations + 1):
+        b = _best_responses(ws, x, costs)
+        g = b - x
+        residual = float(np.max(np.abs(g)))
+        if residual <= opts.tolerance:
+            return b, residual, it, True
+        step = beta * g
+        if prev is not None:
+            dx, dg = x - prev[0], g - prev[1]
+            den = float(dg @ dg)
+            gamma = float(dg @ g) / den if den > 0.0 else 0.0
+            step = step - gamma * (dx + beta * dg)
+        prev = x, g
+        x = np.clip(x + step, 0.0, 1.0)
+    return b, residual, opts.max_iterations, False
+
+
+def iterate_plain(ws, costs, start, opts):
+    """Damped best-response iteration of one start, as (p, residual, iterations, converged).
+
+    The library's rule before the secant step: p <- (1 - d) p + d BR(p),
+    with d = opts.damping dropping to 0.5 once the residual rises inside a
+    window of the last 10 sweeps.
     """
     p = np.array(start, dtype=float)
     damping = opts.damping
@@ -197,7 +253,7 @@ def iterate_single(ws, costs, start, opts):
         if residual <= opts.tolerance:
             return b, residual, it, True
         history.append(residual)
-        if len(history) > _OSCILLATION_WINDOW:
+        if len(history) > 10:
             history.pop(0)
             if damping > 0.5 and any(y > x for x, y in zip(history, history[1:])):
                 damping = 0.5

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from contractgames import (
     NotAnEquilibrium,
     SolverOptions,
     best_response,
+    bonus_pool,
     classify,
     equal_split,
     equilibrium_residual,
@@ -19,6 +22,7 @@ from contractgames import (
     find_equilibria,
     marginal_gain,
     outcome_probabilities,
+    piece_rate,
     zero_contract,
 )
 
@@ -370,9 +374,8 @@ def oracle_cases():
         for f in (equal_split(n), expand_luce(spec, n), random_fgn(rng, n),
                   Contract(n, general_table(rng, n))):
             yield f, costs, rng
-    # Cheap effort on a contract that also pays failures: the residuals of
-    # some starts, not all, rise inside the oscillation window, so only
-    # their damping drops to 0.5.
+    # Cheap effort on a contract that also pays failures: plain damped
+    # iteration oscillates from some of the starts.
     rng = np.random.default_rng(81)
     f = Contract(3, general_table(rng, 3))
     yield f, CostModel.power(rng.uniform(1.01, 1.3, 3), rng.uniform(2, 2.5, 3)), rng
@@ -387,7 +390,7 @@ def test_batched_iteration_matches_single_start_oracle():
         for opts in (SolverOptions(), SolverOptions(max_iterations=3),
                      SolverOptions(damping=0.7, max_iterations=25)):
             profiles, residuals, iterations, converged = equilibrium._iterate(
-                ws, costs, starts, opts)
+                lambda p: equilibrium._best_responses(ws, p, costs), starts, opts)
             for s, start in enumerate(starts):
                 p, residual, its, conv = oracles.iterate_single(ws, costs, start, opts)
                 assert (converged[s], iterations[s]) == (conv, its)
@@ -411,6 +414,77 @@ def test_batched_iteration_raises_not_admissible():
         find_equilibria(f, QUAD22, SolverOptions(seed=0))
     with pytest.raises(NotAdmissible):
         oracles.iterate_single(equilibrium._Workspace(f), QUAD22, (0.5, 0.5), SolverOptions())
+
+
+def test_clipped_steps_keep_admissibility_verdicts():
+    # Clipping keeps the secant iterates in [0, 1]. It neither hides an
+    # inadmissible contract nor makes an admissible one that pays beyond
+    # the budget look inadmissible.
+    f = Contract.from_rows(2, {0b11: [5.0, 5.0]}, unconstrained=True)
+    with pytest.raises(NotAdmissible):
+        find_equilibria(f, QUAD22, SolverOptions(seed=0))
+    costs = CostModel.power([2.0, 3.0, 2.5], [2.0, 2.5, 3.0])
+    q = (0.7, 0.95, 0.9)
+    f = piece_rate(q, costs, unconstrained=True)
+    assert np.sum(f.table[-1]) > 1.0
+    for res in find_equilibria(f, costs, SolverOptions(seed=0)):
+        assert res.converged
+        assert np.max(np.abs(res.profile.as_array() - q)) <= 1e-9
+
+
+def test_bonus_pool_diagonal_starts_converge():
+    # BR(p) = (p2, p1): every diagonal profile is an equilibrium, and plain
+    # iteration swaps the coordinates forever. The secant step lands on the
+    # diagonal in its second step.
+    f = bonus_pool((0.4, 0.4), QUAD22)
+    results = find_equilibria(f, QUAD22, SolverOptions(seed=0))
+    assert len(results) == 7
+    for res in results:
+        p1, p2 = res.profile
+        assert res.converged and res.iterations <= 3
+        assert res.max_residual <= 1e-10
+        assert equilibrium_residual(f, res.profile, QUAD22) <= 1e-10
+        assert abs(p1 - p2) <= 1e-10
+
+
+def random_games(count, seed):
+    """Seeded games at n = 2..6: general or FGN tables, power costs of scale U(1.01, 3)."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(2, 7))
+        f = Contract(n, general_table(rng, n)) if k % 2 else random_fgn(rng, n)
+        yield f, CostModel.power(rng.uniform(1.01, 3.0, n), rng.uniform(2.0, 3.0, n)), rng
+
+
+def distinct(profiles):
+    kept = []
+    for p in profiles:
+        if not any(np.max(np.abs(p - q)) <= 1e-6 for q in kept):
+            kept.append(p)
+    return kept
+
+
+def test_secant_sweeps_find_the_fixed_points_of_plain_iteration():
+    opts = SolverOptions()
+    sweeps = {"secant": 0, "plain": 0}
+    games = 0
+    for f, costs, rng in itertools.chain(oracle_cases(), random_games(200, 14)):
+        games += 1
+        ws = equilibrium._Workspace(f)
+        starts = np.vstack([np.zeros(f.n), equilibrium._solo_start(ws, costs),
+                            rng.uniform(0.0, 0.9, (6, f.n))])
+        profiles, _, iterations, converged = equilibrium._iterate(
+            lambda p: equilibrium._best_responses(ws, p, costs), starts, opts)
+        plain = [oracles.iterate_plain(ws, costs, s, opts) for s in starts]
+        sweeps["secant"] += int(iterations.sum())
+        sweeps["plain"] += sum(its for _, _, its, _ in plain)
+        ours = distinct(profiles[converged])
+        theirs = distinct([p for p, _, _, conv in plain if conv])
+        assert len(ours) == len(theirs), (games, ours, theirs)
+        for p in ours:
+            assert min(np.max(np.abs(p - q)) for q in theirs) <= 1e-9, (games, p)
+    assert games > 200
+    assert sweeps["secant"] <= sweeps["plain"], sweeps
 
 
 # ---------------------------------------------------------------------------

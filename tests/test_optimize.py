@@ -382,7 +382,7 @@ def test_optimizer_at_fifty_agents():
 TAB = TabulatedMonotone((0.0, 0.5, 1.0), (0.0, 1.0, 3.0))
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 10])
 @pytest.mark.parametrize("kind", ["power", "tabulated"])
 def test_starts_match_table_equilibria(n, kind):
     rng = np.random.default_rng(n)
@@ -394,6 +394,47 @@ def test_starts_match_table_equilibria(n, kind):
         assert table.converged
         start = optimize._single_tier_equilibrium(w, costs)
         assert np.max(np.abs(start - table.profile.as_array())) <= 1e-9
+
+
+def test_start_at_two_hundred_agents_converges_in_few_sweeps(monkeypatch):
+    # Plain sweeps from the origin stopped at the 10,000-sweep cap here.
+    rng = np.random.default_rng(200)
+    costs = CostModel.power(rng.uniform(2.0, 4.0, size=200))
+    w = np.ones(200)
+    sweeps = []
+    gains = optimize._tier_gains
+
+    def counting(nodes, p):
+        sweeps.append(1)
+        return gains(nodes, p)
+
+    monkeypatch.setattr(optimize, "_tier_gains", counting)
+    p = optimize._single_tier_equilibrium(w, costs)
+    assert len(sweeps) <= 50
+    b = costs.inverse_marginal_vec(gains(optimize._tier_nodes(w), p))
+    assert np.max(np.abs(b - p)) <= 1e-10
+
+
+def test_start_that_hits_the_sweep_cap_is_a_failed_start(monkeypatch):
+    # The equal-weight start is given one sweep, which cannot converge from
+    # the origin; the other starts keep the usual cap.
+    iterate = optimize._iterate
+    calls = []
+
+    def first_capped(best_responses, starts, opts):
+        calls.append(opts)
+        if len(calls) == 1:
+            opts = SolverOptions(tolerance=opts.tolerance, max_iterations=1)
+        return iterate(best_responses, starts, opts)
+
+    monkeypatch.setattr(optimize, "_iterate", first_capped)
+    opt = optimize_principal(Objective.linear([1, 1]), QUAD22, seed=0)
+    assert calls[0].max_iterations == optimize._START_SWEEPS
+    assert opt.failed_starts == 1
+    assert opt.value == pytest.approx(0.8, abs=1e-8)
+    monkeypatch.setattr(optimize, "_START_SWEEPS", 1)
+    with pytest.raises(NoConvergence, match="none of 8 starts"):
+        optimize_principal(Objective.linear([1, 1]), QUAD22, seed=0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])

@@ -137,6 +137,20 @@ def test_samples_are_distinct():
             assert np.max(np.abs(samples[i].table - samples[j].table)) > 1e-6
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+def test_samples_match_per_agent_draws(n):
+    # One (n, 2**(n-1)) draw per sample consumes the generator as n draws of
+    # 2**(n-1), agent 0 first; only the row sums' order of addition differs.
+    rng = np.random.default_rng(n)
+    costs = CostModel.power(rng.uniform(n + 1, n + 6, n), rng.uniform(2.0, 3.0, n))
+    q = tuple(rng.uniform(0.05, 0.9, n))
+    for scale in (None, 2.0):
+        samples = implementing_fgn_samples(q, costs, 5, seed=7, scale=scale)
+        expected = oracles.implementing_fgn_tables(q, costs, 5, seed=7, scale=scale)
+        for f, table in zip(samples, expected, strict=True):
+            assert np.max(np.abs(f.table - table)) <= 1e-14
+
+
 def test_samples_reject_boundary_profile():
     with pytest.raises(DegenerateProfile):
         implementing_fgn_samples((0.4, 0.0), QUAD22, 1, seed=0)
