@@ -19,17 +19,7 @@ import sys
 from . import serialize
 from .core import CostModel, Profile, bonus_pool, classify, expand_luce, piece_rate
 from .equilibrium import SolverOptions, find_equilibria
-from .errors import (
-    BudgetExceeded,
-    ContractGameError,
-    DegenerateProfile,
-    InconsistentTightSets,
-    NoConvergence,
-    NotAdmissible,
-    NotAnEquilibrium,
-    NotLuceImplementable,
-    ParameterOutOfRange,
-)
+from .errors import ContractGameError, NoConvergence, NotLuceImplementable
 from .luce import synthesize_luce
 from .maximal import brute_force_frontier, implementability_necessary, luce_condition, z_value
 from .optimize import (
@@ -82,7 +72,6 @@ PROBLEM_CONFIG_SCHEMA = {
             "properties": {
                 "tolerance": {"type": "number", "exclusiveMinimum": 0},
                 "max_iterations": {"type": "integer", "minimum": 1},
-                "damping": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "starts": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer"},
             },
@@ -145,15 +134,9 @@ def load_config(path: str) -> dict:
     return doc
 
 
-def _solver_from_config(doc: dict | None, seed: int | None) -> SolverOptions:
-    cfg = (doc or {}).get("solver", {})
-    return SolverOptions(
-        tolerance=cfg.get("tolerance", 1e-10),
-        max_iterations=cfg.get("max_iterations", 10_000),
-        damping=cfg.get("damping", 1.0),
-        starts=cfg.get("starts", 8),
-        seed=cfg.get("seed", seed),
-    )
+def _solver_from_config(doc: dict | None, seed: int) -> SolverOptions:
+    """The config's solver settings over SolverOptions' defaults; --seed unless it sets one."""
+    return SolverOptions(**{"seed": seed, **(doc or {}).get("solver", {})})
 
 
 def resolve_problem(args) -> tuple[CostModel, float, SolverOptions, dict | None]:
@@ -161,6 +144,7 @@ def resolve_problem(args) -> tuple[CostModel, float, SolverOptions, dict | None]
 
     The config wins on conflict (warning to stderr). Costs are normalized to
     a unit budget at ingestion and small-budget admissibility is enforced.
+    The output path is settled here too: --out, else the config's `out`.
     """
     doc = load_config(args.config) if getattr(args, "config", None) else None
     flag_costs = parse_costs(args.costs) if getattr(args, "costs", None) else None
@@ -178,6 +162,8 @@ def resolve_problem(args) -> tuple[CostModel, float, SolverOptions, dict | None]
                 "warning: --budget conflicts with the config document; using the config",
                 file=sys.stderr,
             )
+        if args.out is None:
+            args.out = doc.get("out")
     else:
         if flag_costs is None:
             raise ValueError("either --costs or --config is required")
@@ -190,16 +176,13 @@ def resolve_problem(args) -> tuple[CostModel, float, SolverOptions, dict | None]
             "small-budget admissibility violated: need c_i'(1) > budget for every "
             "agent after normalization"
         )
-    solver = _solver_from_config(doc, getattr(args, "seed", None))
+    solver = _solver_from_config(doc, args.seed)
     return normalized, budget, solver, doc
 
 
 def _emit(text: str, args) -> None:
-    out = getattr(args, "out", None)
-    if out is None and args._config_doc is not None:
-        out = args._config_doc.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -216,8 +199,7 @@ def _csv_text(rows: list[list[str]]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    costs, _, solver, doc = resolve_problem(args)
-    args._config_doc = doc
+    costs, _, solver, _ = resolve_problem(args)
     with open(args.contract, encoding="utf-8") as fh:
         contract = serialize.contract_from_dict(json.load(fh))
     if contract.n != costs.n:
@@ -240,8 +222,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    costs, _, _, doc = resolve_problem(args)
-    args._config_doc = doc
+    costs, _, _, _ = resolve_problem(args)
     profile = parse_profile(args.profile)
     report = luce_condition(profile, costs)
     payload = {
@@ -255,8 +236,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    costs, _, _, doc = resolve_problem(args)
-    args._config_doc = doc
+    costs, _, _, _ = resolve_problem(args)
     result = synthesize_luce(parse_profile(args.profile), costs)
     _emit(serialize.canonical_json(serialize.synthesis_to_dict(result)), args)
     return EXIT_OK
@@ -264,7 +244,6 @@ def cmd_synthesize(args) -> int:
 
 def cmd_optimize(args) -> int:
     costs, _, _, doc = resolve_problem(args)
-    args._config_doc = doc
     if doc is not None and "objective" in doc:
         weights = doc["objective"]["weights"]
         if args.weights:
@@ -284,7 +263,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_two_agent(args) -> int:
-    args._config_doc = None
     if args.sweep:
         lo, hi, step = (float(x) for x in args.sweep.split(":"))
         if step <= 0 or hi < lo:
@@ -311,8 +289,7 @@ def cmd_two_agent(args) -> int:
 
 
 def cmd_payments(args) -> int:
-    costs, _, _, doc = resolve_problem(args)
-    args._config_doc = doc
+    costs, _, _, _ = resolve_problem(args)
     profile = parse_profile(args.profile)
     synthesis = synthesize_luce(profile, costs)
     luce_contract = expand_luce(synthesis.spec, costs.n, synthesis.budget)
@@ -348,8 +325,7 @@ def cmd_payments(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    costs, _, solver, doc = resolve_problem(args)
-    args._config_doc = doc
+    costs, _, solver, _ = resolve_problem(args)
     result = brute_force_frontier(
         costs,
         args.grid,
@@ -370,7 +346,8 @@ def _add_problem_flags(sub, profile: bool = False) -> None:
     sub.add_argument("--budget", type=float, default=None, help="budget (default 1)")
     sub.add_argument("--config", help="JSON problem-config document")
     sub.add_argument("--out", help="write output to this path instead of stdout")
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=0,
+                     help="seed of the random starts and samples (default 0)")
     if profile:
         sub.add_argument("--profile", required=True, help="comma-separated probabilities")
 
@@ -427,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args._config_doc = None
     try:
         return args.handler(args)
     except NotLuceImplementable as exc:
@@ -439,18 +415,8 @@ def run(argv=None) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-        BudgetExceeded,
-        DegenerateProfile,
-        NotAdmissible,
-        NotAnEquilibrium,
-        InconsistentTightSets,
-        ParameterOutOfRange,
-        ContractGameError,
-    ) as exc:
+    # Malformed JSON raises json.JSONDecodeError, a ValueError.
+    except (ValueError, OSError, ContractGameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

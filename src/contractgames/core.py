@@ -529,12 +529,6 @@ class LuceSpec:
     def n(self) -> int:
         return sum(len(b) for b in self.partition)
 
-    def block_of(self, i: int) -> int:
-        for k, block in enumerate(self.partition):
-            if i in block:
-                return k
-        raise ValueError(f"agent {i} not in partition")
-
     def allclose(self, other: "LuceSpec", tol: float = 1e-12) -> bool:
         return self.partition == other.partition and all(
             abs(a - b) <= tol for a, b in zip(self.weights, other.weights)

@@ -45,22 +45,21 @@ _TINY = np.finfo(float).tiny
 class SolverOptions:
     """Knobs for the fixed-point iteration.
 
-    `damping` scales each sweep's step along the residual BR(p) - p, before
-    the secant correction; `max_iterations` caps the sweeps per start, each
-    one best-response evaluation of the whole batch.
+    A start has converged once max |BR(p) - p| <= `tolerance`;
+    `max_iterations` caps the sweeps per start, each one best-response
+    evaluation of the whole batch. `seed` draws the random starts. It is 0
+    by default, so identical calls give identical results; None draws them
+    from fresh entropy.
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 10_000
-    damping: float = 1.0
     starts: int = 8
-    seed: int | None = None
+    seed: int | None = 0
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -208,15 +207,14 @@ def _iterate(best_responses: Callable[[np.ndarray], np.ndarray], starts: np.ndar
 
     `best_responses` maps a (k, n) batch of profiles to their best
     responses. Each start steps on its residual g = BR(x) - x by depth-1
-    Anderson mixing: with beta = opts.damping, dx = x_k - x_{k-1} and
-    dg = g_k - g_{k-1},
+    Anderson mixing: with dx = x_k - x_{k-1} and dg = g_k - g_{k-1},
 
-        x_{k+1} = clip(x_k + beta g_k - gamma_k (dx + beta dg), 0, 1),
+        x_{k+1} = clip(x_k + g_k - gamma_k (dx + dg), 0, 1),
         gamma_k = <dg, g_k> / <dg, dg>, or 0 when dg = 0,
 
     which is a secant step along the last difference. It is computed from
-    the damped points u_k = x_k + beta g_k as u_k - gamma_k (u_k - u_{k-1}).
-    The first step has no difference and is u_0. A start has converged once
+    the best responses b_k = x_k + g_k as b_k - gamma_k (b_k - b_{k-1}).
+    The first step has no difference and is b_0. A start has converged once
     max |BR(x) - x| <= opts.tolerance at an evaluated x, and BR(x) is its
     profile; it then leaves the batch. Returns per-start profiles (the last
     best responses for starts that hit the cap), residuals, sweep counts
@@ -228,9 +226,8 @@ def _iterate(best_responses: Callable[[np.ndarray], np.ndarray], starts: np.ndar
     iterations = np.full(k, opts.max_iterations)
     converged = np.zeros(k, dtype=bool)
     active = np.arange(k)
-    beta = opts.damping
     x = starts.copy()
-    u_prev = g_prev = None
+    b_prev = g_prev = None
     for it in range(1, opts.max_iterations + 1):
         b = best_responses(x)
         g = b - x
@@ -246,18 +243,17 @@ def _iterate(best_responses: Callable[[np.ndarray], np.ndarray], starts: np.ndar
             if not keep.any():
                 return profiles, residuals, iterations, converged
             active, x, b, g, residual = active[keep], x[keep], b[keep], g[keep], residual[keep]
-            if u_prev is not None:
-                u_prev, g_prev = u_prev[keep], g_prev[keep]
-        u = x + beta * g
-        if u_prev is None:
-            x = u
+            if b_prev is not None:
+                b_prev, g_prev = b_prev[keep], g_prev[keep]
+        if b_prev is None:
+            x = b
         else:
             dg = g - g_prev
             # Where dg = 0, <dg, g> = 0 too, and gamma is 0.
             gamma = (np.einsum("ij,ij->i", dg, g)
                      / np.maximum(np.einsum("ij,ij->i", dg, dg), _TINY))
-            x = u - gamma[:, None] * (u - u_prev)
-        u_prev, g_prev = u, g
+            x = b - gamma[:, None] * (b - b_prev)
+        b_prev, g_prev = b, g
         x = np.minimum(np.maximum(x, 0.0), 1.0)
     profiles[active] = b
     residuals[active] = residual

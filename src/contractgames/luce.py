@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import CostModel, LuceSpec, ProfileLike, as_profile, mask_agents, require_interior
 from .errors import InconsistentTightSets, NoConvergence, NotLuceImplementable
-from .maximal import TIGHT_TOL, ConditionReport, luce_condition
+from .maximal import ConditionReport, luce_condition
 
 # Trapezoid rule in x = log t on [_LOG_T_MIN, log(_T_TAIL / min w)], weights
 # scaled to a maximum of 1. The integrand is analytic in a strip about the
@@ -177,18 +177,20 @@ def _solve_tier(log_w: np.ndarray, p: np.ndarray, target: np.ndarray,
 
 
 def synthesize_luce(p: ProfileLike, costs: CostModel, tolerance: float = 1e-10,
-                    max_iterations: int = 10_000, tight_tol: float = TIGHT_TOL) -> SynthesisResult:
+                    max_iterations: int = 10_000) -> SynthesisResult:
     """Construct the unique tiered-weights contract implementing p.
 
-    The weights of each tier come from at most `max_iterations` Newton
-    steps, started from weights proportional to each agent's expected spend
-    p_i c_i'(p_i). `residual` is max_i |BR_i(p) - p_i| under the returned
-    contract, from the table-free gains. Raises NotLuceImplementable when
-    the subset inequality fails, and NoConvergence (carrying the residual)
-    when that residual exceeds `tolerance`.
+    The tiers are read off the tight chain of `luce_condition`, at the
+    fixed tolerance `maximal.TIGHT_TOL`. The weights of each tier come from
+    at most `max_iterations` Newton steps, started from weights
+    proportional to each agent's expected spend p_i c_i'(p_i). `residual`
+    is max_i |BR_i(p) - p_i| under the returned contract, from the
+    table-free gains. Raises NotLuceImplementable when the subset
+    inequality fails, and NoConvergence (carrying the residual) when that
+    residual exceeds `tolerance`.
     """
     prof = require_interior(as_profile(p, costs.n))
-    report = luce_condition(prof, costs, tight_tol)
+    report = luce_condition(prof, costs)
     if not report.holds:
         raise NotLuceImplementable(
             f"subset inequality fails at agents {mask_agents(report.worst_subset)}: "

@@ -38,7 +38,18 @@ from .core import (
 from .equilibrium import SolverOptions, find_equilibria
 from .errors import GridTooCoarse
 
+# Tolerances on the subset inequality, all on a prefix's gap rhs - lhs and on
+# 1 - z, in increasing order. The optimizer adds cuts until no prefix is
+# violated by more than _CUT_TOL and accepts a result only within
+# _ACCEPT_TOL; both lie below TIGHT_TOL, so whatever the optimizer accepts
+# passes the inequality here with room for rounding. Prefixes within
+# _SNAP_TOL of equality, a margin the local solver's stopping rule can leave,
+# are then made exactly tight, so TIGHT_TOL reads the chain the optimizer
+# reached instead of one broken by solver accuracy.
+_CUT_TOL = 1e-12
+_ACCEPT_TOL = 1e-10
 TIGHT_TOL = 1e-9
+_SNAP_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -68,55 +79,69 @@ def z_value(p: ProfileLike, costs: CostModel) -> float:
     return float(arr @ costs.marginal_vec(arr) + np.prod(1.0 - arr))
 
 
-def implementability_necessary(p: ProfileLike, costs: CostModel, tol: float = TIGHT_TOL) -> bool:
-    """Necessary condition for implementability with a unit budget: z(p) <= 1.
+def implementability_necessary(p: ProfileLike, costs: CostModel) -> bool:
+    """Necessary condition for implementability with a unit budget: z(p) <= 1 + TIGHT_TOL.
 
     Not sufficient; a profile passing this test may still fail the subset
     inequality.
     """
-    return z_value(p, costs) <= 1.0 + tol
+    return z_value(p, costs) <= 1.0 + TIGHT_TOL
 
 
-def luce_condition(p: ProfileLike, costs: CostModel, tol: float = TIGHT_TOL) -> ConditionReport:
-    """Evaluate the subset inequality on the n prefixes of the s_i / q_i order.
+def _prefix_gaps(p: np.ndarray, costs: CostModel
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The subset inequality on the n prefixes of the s_i / q_i order, for an interior array p.
 
-    The worst subset is one of them, so `holds` is exact in O(n log n).
-    Agents whose ratios agree within relative `tol` are kept together. When
-    the inequality holds, no tight set separates agents of equal ratio:
-    they add nothing to the tangent bound the set meets, so moving one of
-    them across would give a subset that violates the inequality.
+    Returns the order (agents by descending s_i / q_i, ties by index), the
+    ratios in that order, then per prefix, shortest first, its lhs and its
+    gap rhs - lhs, and last 1 - z(p). The last prefix is the full set, with
+    lhs 1 and gap 0. Every check of the inequality in the package reads
+    this one computation.
     """
-    prof = require_interior(as_profile(p, costs.n))
-    arr = prof.as_array()
-    spend = arr * costs.marginal_vec(arr)
-    fail_rate = -np.log1p(-arr)
+    spend = p * costs.marginal_vec(p)
+    fail_rate = -np.log1p(-p)
     ratio = spend / fail_rate
     order = np.argsort(-ratio, kind="stable")
     lhs = np.cumsum(spend[order])
-    lhs /= lhs[-1]
+    total = lhs[-1]
+    lhs /= total
     hit = -np.expm1(-np.cumsum(fail_rate[order]))  # P[S meets the prefix]
-    rhs = hit / hit[-1]
-    diff = lhs - rhs
+    return order, ratio[order], lhs, hit / hit[-1] - lhs, float(hit[-1] - total)
+
+
+def luce_condition(p: ProfileLike, costs: CostModel) -> ConditionReport:
+    """Evaluate the subset inequality on the n prefixes of the s_i / q_i order.
+
+    The worst subset is one of them, so `holds` is exact in O(n log n), up
+    to TIGHT_TOL: the inequality holds when no prefix's lhs exceeds its rhs
+    by more than TIGHT_TOL, and a prefix is tight when the two sides agree
+    within it. Agents whose ratios agree within relative TIGHT_TOL are kept
+    together. When the inequality holds, no tight set separates agents of
+    equal ratio: they add nothing to the tangent bound the set meets, so
+    moving one of them across would give a subset that violates the
+    inequality.
+    """
+    prof = require_interior(as_profile(p, costs.n))
+    order, ratio, lhs, gap, _ = _prefix_gaps(prof.as_array(), costs)
     masks = list(itertools.accumulate((1 << int(i) for i in order), operator.or_))
-    worst = int(np.argmax(diff))
-    sorted_ratio = ratio[order]
-    group_end = np.append(sorted_ratio[1:] < sorted_ratio[:-1] * (1.0 - tol), True)
-    tight = tuple(masks[k] for k in np.flatnonzero(group_end & (np.abs(diff) <= tol)))
+    worst = int(np.argmin(gap))
+    group_end = np.append(ratio[1:] < ratio[:-1] * (1.0 - TIGHT_TOL), True)
+    tight = tuple(masks[k] for k in np.flatnonzero(group_end & (np.abs(gap) <= TIGHT_TOL)))
     return ConditionReport(
         n=prof.n,
-        holds=bool(diff[worst] <= tol),
+        holds=bool(gap[worst] >= -TIGHT_TOL),
         worst_subset=masks[worst],
         lhs=float(lhs[worst]),
-        rhs=float(rhs[worst]),
+        rhs=float(lhs[worst] + gap[worst]),
         tight_sets=tight,
     )
 
 
 def maximal_candidate(p: ProfileLike, costs: CostModel, tol: float = TIGHT_TOL) -> bool:
-    """True when z(p) = 1 and the subset inequality holds (interior p only)."""
+    """True when |z(p) - 1| <= tol and the subset inequality holds (interior p only)."""
     if abs(z_value(p, costs) - 1.0) > tol:
         return False
-    return luce_condition(p, costs, tol).holds
+    return luce_condition(p, costs).holds
 
 
 # ---------------------------------------------------------------------------

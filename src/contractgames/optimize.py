@@ -31,6 +31,7 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .luce import _tier_gains, _tier_nodes, required_budget, synthesize_luce
+from .maximal import _ACCEPT_TOL, _CUT_TOL, _SNAP_TOL, _prefix_gaps
 
 _STARTS = 8
 # Best-response sweeps for a start stop at this residual, as find_equilibria
@@ -38,15 +39,7 @@ _STARTS = 8
 # of it after _START_SWEEPS sweeps is counted as failed.
 _START_TOL = 1e-10
 _START_SWEEPS = 10_000
-# Cuts are added until the most violated prefix has slack >= -_CUT_TOL.
-_CUT_TOL = 1e-12
 _MAX_CUT_ROUNDS = 50
-# A result is accepted when z <= 1 + _ACCEPT_TOL and every prefix has slack
-# >= -_ACCEPT_TOL, well inside synthesis's 1e-9 tight-set tolerance.
-_ACCEPT_TOL = 1e-10
-# Prefixes this close to tight are made exactly tight before synthesis, so
-# the tight chain it reads off is not broken by rounding.
-_SNAP_TOL = 1e-7
 # Profiles stay this far inside (0, 1): synthesis needs interior profiles,
 # and the constraints take log(1 - p).
 _EDGE = 1e-6
@@ -155,19 +148,11 @@ class _ProfileSearch:
         return (np.concatenate([[1.0 - spend - fail], rhs - lhs]),
                 np.vstack([fail / (1.0 - p) - ds, jac]))
 
-    def prefixes(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The n - 1 proper prefixes of the s_i / q_i order, and 1 - z then their slacks.
-
-        The worst subset of the inequality is always one of these prefixes.
-        """
-        s, _ = self.spend(p)
-        rank = np.argsort(np.argsort(s / np.log1p(-p), kind="stable"))
-        masks = (rank[None, :] < np.arange(1, self.n)[:, None]).astype(float)
-        return masks, self.rows(p, masks)[0]
-
     def feasible(self, p: np.ndarray) -> bool:
-        values = self.prefixes(p)[1]
-        return bool(np.all(np.isfinite(p)) and np.all(values >= -_ACCEPT_TOL))
+        """z(p) <= 1 and the subset inequality, each within _ACCEPT_TOL."""
+        _, _, _, gap, z_slack = _prefix_gaps(p, self.costs)
+        return bool(np.all(np.isfinite(p)) and z_slack >= -_ACCEPT_TOL
+                    and np.all(gap >= -_ACCEPT_TOL))
 
     def local(self, p0: np.ndarray, equal: np.ndarray) -> np.ndarray:
         """One local solve under z <= 1, the cuts, and `equal` held tight.
@@ -220,14 +205,14 @@ class _ProfileSearch:
         p = p0
         for _ in range(_MAX_CUT_ROUNDS):
             p = self.local(p, equal)
-            masks, values = self.prefixes(p)
-            slack = values[1:]
-            if not slack.size or slack.min() >= -_CUT_TOL:
+            order, _, _, gap, _ = _prefix_gaps(p, self.costs)
+            worst = int(np.argmin(gap))
+            if gap[worst] >= -_CUT_TOL:
                 break
-            worst = masks[np.argmin(slack)]
-            if any(np.array_equal(worst, cut) for cut in self.cuts):
+            cut = _prefix_rows(order, [worst])
+            if any(np.array_equal(cut[0], row) for row in self.cuts):
                 break
-            self.cuts = np.vstack([self.cuts, worst])
+            self.cuts = np.vstack([self.cuts, cut])
         return p
 
     def contract(self, p: np.ndarray, equal: np.ndarray) -> tuple[LuceSpec, np.ndarray] | None:
@@ -238,8 +223,8 @@ class _ProfileSearch:
         otherwise; the other is tried when synthesis fails on the first.
         Returns None when synthesis fails on both.
         """
-        masks, values = self.prefixes(p)
-        near = masks[values[1:] <= _SNAP_TOL]
+        order, _, _, gap, _ = _prefix_gaps(p, self.costs)
+        near = _prefix_rows(order, np.flatnonzero(gap[:-1] <= _SNAP_TOL))
         candidates = [p]
         if len(near):
             snapped = self.local(p, np.vstack([equal, near]))
@@ -253,6 +238,11 @@ class _ProfileSearch:
             except ContractGameError:
                 pass
         return None
+
+
+def _prefix_rows(order: np.ndarray, ends: Sequence[int]) -> np.ndarray:
+    """0/1 rows of the prefixes order[:k + 1] for each k in `ends`."""
+    return (np.argsort(order)[None, :] <= np.asarray(ends)[:, None]).astype(float)
 
 
 def _single_tier_equilibrium(w: np.ndarray, costs: CostModel) -> np.ndarray | None:

@@ -55,16 +55,6 @@ def ids_from_mask(mask: int) -> list[int]:
     return [i + 1 for i in mask_agents(mask)]
 
 
-def mask_from_ids(ids, n: int) -> int:
-    mask = 0
-    for ident in ids:
-        i = int(ident) - 1
-        if not 0 <= i < n:
-            raise ValueError(f"agent id {ident} out of range 1..{n}")
-        mask |= 1 << i
-    return mask
-
-
 # -- contracts ---------------------------------------------------------------
 
 def contract_to_dict(f: Contract) -> dict:

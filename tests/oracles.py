@@ -12,7 +12,8 @@ and marginal gains also come from the library's former table of share
 gains. The principal's problem is solved by the library's former search
 over contract weights: every ordered partition, a weight grid per
 partition, then Nelder-Mead. The subset inequality is checked on all
-2^n - 1 subsets, and Luce weights come from the library's former damped
+2^n - 1 subsets, and on the sorted prefixes through 0/1 masks as the
+optimizer once did, and Luce weights come from the library's former damped
 multiplicative iteration on 2^n tables, and implementing FGN samples are drawn one agent at a time.
 Uniqueness of the implementing Luce
 contract is audited by perturbing it and solving the perturbed contracts'
@@ -214,11 +215,10 @@ def iterate_single(ws, costs, start, opts):
 
     Uses the library's best-response map on a single profile, so it pins
     the batching and per-start bookkeeping, not the map itself. Each step
-    is x + beta g - gamma (dx + beta dg), gamma = <dg, g> / <dg, dg> (0 when
-    dg = 0), clipped to [0, 1], on the residual g = BR(x) - x.
+    is x + g - gamma (dx + dg), gamma = <dg, g> / <dg, dg> (0 when dg = 0),
+    clipped to [0, 1], on the residual g = BR(x) - x.
     """
     x = np.array(start, dtype=float)
-    beta = opts.damping
     prev = None
     for it in range(1, opts.max_iterations + 1):
         b = _best_responses(ws, x, costs)
@@ -226,12 +226,12 @@ def iterate_single(ws, costs, start, opts):
         residual = float(np.max(np.abs(g)))
         if residual <= opts.tolerance:
             return b, residual, it, True
-        step = beta * g
+        step = g
         if prev is not None:
             dx, dg = x - prev[0], g - prev[1]
             den = float(dg @ dg)
             gamma = float(dg @ g) / den if den > 0.0 else 0.0
-            step = step - gamma * (dx + beta * dg)
+            step = step - gamma * (dx + dg)
         prev = x, g
         x = np.clip(x + step, 0.0, 1.0)
     return b, residual, opts.max_iterations, False
@@ -241,11 +241,11 @@ def iterate_plain(ws, costs, start, opts):
     """Damped best-response iteration of one start, as (p, residual, iterations, converged).
 
     The library's rule before the secant step: p <- (1 - d) p + d BR(p),
-    with d = opts.damping dropping to 0.5 once the residual rises inside a
-    window of the last 10 sweeps.
+    with d = 1 dropping to 0.5 once the residual rises inside a window of
+    the last 10 sweeps.
     """
     p = np.array(start, dtype=float)
-    damping = opts.damping
+    damping = 1.0
     history = []
     for it in range(1, opts.max_iterations + 1):
         b = _best_responses(ws, p, costs)
@@ -411,6 +411,26 @@ def luce_condition_brute(p, costs, tol=TIGHT_TOL):
     return ConditionReport(n=n, holds=bool(diff[worst] <= tol), worst_subset=worst + 1,
                            lhs=float(lhs[worst]), rhs=float(rhs[worst]),
                            tight_sets=tuple(tight))
+
+
+def prefix_gaps_by_masks(p, costs):
+    """The library's former prefix check: 0/1 masks of the sorted prefixes, through its rows.
+
+    Returns the (n - 1, n) masks of the proper prefixes of the agents
+    sorted by descending s_i / q_i, then 1 - z(p) followed by each mask's
+    gap rhs - lhs, with rhs = P[S meets I] / P[S nonempty] and
+    lhs = s_I / sum_i s_i.
+    """
+    p = np.asarray(p, dtype=float)
+    s = p * costs.marginal_vec(p)
+    rank = np.argsort(np.argsort(s / np.log1p(-p), kind="stable"))
+    masks = (rank[None, :] < np.arange(1, len(p))[:, None]).astype(float)
+    fail_i = np.exp(masks @ np.log1p(-p))
+    fail = float(np.prod(1.0 - p))
+    spend = float(s.sum())
+    rhs = (1.0 - fail_i) / (1.0 - fail)
+    lhs = masks @ s / spend
+    return masks, np.concatenate([[1.0 - spend - fail], rhs - lhs])
 
 
 def synthesize_luce_iteration(p, costs, tolerance=1e-10, max_iterations=10_000):

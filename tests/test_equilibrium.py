@@ -387,8 +387,7 @@ def test_batched_iteration_matches_single_start_oracle():
         # The origin start puts every p_i at 0 in the first sweep.
         starts = np.vstack([np.zeros(f.n), equilibrium._solo_start(ws, costs),
                             rng.uniform(0.0, 0.9, (4, f.n))])
-        for opts in (SolverOptions(), SolverOptions(max_iterations=3),
-                     SolverOptions(damping=0.7, max_iterations=25)):
+        for opts in (SolverOptions(), SolverOptions(max_iterations=3)):
             profiles, residuals, iterations, converged = equilibrium._iterate(
                 lambda p: equilibrium._best_responses(ws, p, costs), starts, opts)
             for s, start in enumerate(starts):

@@ -20,6 +20,7 @@ from contractgames import (
     z_value,
 )
 from contractgames.luce import _luce_gains
+from contractgames.maximal import _prefix_gaps
 
 import oracles
 
@@ -138,6 +139,25 @@ def test_prefix_check_matches_subset_enumeration(kind):
         assert ours.holds == ref.holds
         assert ours.lhs - ours.rhs == pytest.approx(ref.lhs - ref.rhs, abs=1e-14)
         assert ours.tight_sets == ref.tight_sets
+
+
+def test_prefix_gaps_match_the_mask_computation():
+    # The optimizer once built a 0/1 mask per prefix and took each side of
+    # the inequality as a matrix product; the sorted cumulative sums must
+    # give the same order, gaps and 1 - z. 1 - z is compared relative to
+    # z, which reaches about 200 here.
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        n = int(rng.integers(2, 41))
+        p = rng.uniform(0.001, 0.95, n)
+        costs = CostModel.power(rng.uniform(1.5, 30.0, n), rng.uniform(2.0, 3.0, n))
+        order, _, _, gap, z_slack = _prefix_gaps(p, costs)
+        masks, values = oracles.prefix_gaps_by_masks(p, costs)
+        assert [set(np.flatnonzero(m)) for m in masks] == [
+            set(order[:k]) for k in range(1, n)]
+        assert gap[-1] == 0.0
+        assert np.max(np.abs(gap[:-1] - values[1:])) <= 1e-14
+        assert abs(z_slack - values[0]) <= 1e-14 * (1.0 - values[0])
 
 
 def test_tight_prefixes_keep_tied_agents_together():
