@@ -240,7 +240,7 @@ def _slack_needed(frontier: tuple[FrontierPoint, ...], q: np.ndarray) -> float:
 
 
 def brute_force_frontier(costs: CostModel, grid_resolution: int,
-                         non_sge_samples: int = 0, seed: int | None = None,
+                         non_sge_samples: int = 0, seed: int | None = 0,
                          options: SolverOptions | None = None) -> FrontierResult:
     """Sample the maximal frontier by exhausting budget-exhausting contracts.
 

@@ -6,10 +6,12 @@ inequality. So the search runs over profiles, and `synthesize_luce` turns the
 optimum into its contract. The worst subset at p is a prefix of the agents
 sorted by s_i / q_i (s_i = p_i c_i'(p_i), q_i = -log(1 - p_i)); that sort is
 discontinuous, so the local solver (SLSQP, or COBYLA for custom objectives)
-sees cutting planes instead, one fixed subset added per solve. No 2^n table
-is built: the starts are equilibria of single-tier contracts, found with the
-table-free gains that synthesis uses. A two-agent quadratic-cost closed form
-is provided for cross-checking.
+sees cutting planes instead, one fixed subset added per solve. The search
+starts from the equilibrium of the equal-weights single-tier contract, and
+seeded random single-tier starts are drawn only when a start fails. No 2^n
+table is built: the starts are found with the table-free gains that
+synthesis uses. A two-agent quadratic-cost closed form is provided for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,7 +76,8 @@ class Objective:
 @dataclass(frozen=True)
 class Optimum:
     """The optimal contract and its equilibrium. `search_trace` counts the local
-    solver's objective evaluations, `failed_starts` the starts that failed.
+    solver's objective evaluations, `failed_starts` the starts that failed
+    before the one that produced this contract.
 
     The contract is `expand_luce(spec, n, budget)`, and `equilibrium` is the
     profile it was synthesized from, with best-response residual at most
@@ -112,7 +115,7 @@ class _ProfileSearch:
     """The profile-space problem for one objective and cost model.
 
     Subsets are rows of 0/1 masks. `cuts` only grows, and each cut holds
-    everywhere, so all starts share it.
+    everywhere, so a fallback start keeps the cuts of the starts before it.
     """
 
     def __init__(self, objective: Objective, costs: CostModel):
@@ -200,11 +203,11 @@ class _ProfileSearch:
             p = np.clip(p + step, _EDGE, 1.0 - _EDGE)
         return p
 
-    def solve(self, p0: np.ndarray, equal: np.ndarray) -> np.ndarray:
+    def solve(self, p0: np.ndarray) -> np.ndarray:
         """Local solves, each followed by a cut on the most violated prefix."""
         p = p0
         for _ in range(_MAX_CUT_ROUNDS):
-            p = self.local(p, equal)
+            p = self.local(p, np.zeros((0, self.n)))
             order, _, _, gap, _ = _prefix_gaps(p, self.costs)
             worst = int(np.argmin(gap))
             if gap[worst] >= -_CUT_TOL:
@@ -215,7 +218,7 @@ class _ProfileSearch:
             self.cuts = np.vstack([self.cuts, cut])
         return p
 
-    def contract(self, p: np.ndarray, equal: np.ndarray) -> tuple[LuceSpec, np.ndarray] | None:
+    def contract(self, p: np.ndarray) -> tuple[LuceSpec, np.ndarray] | None:
         """The Luce spec implementing p after its near-tight prefixes are held tight.
 
         Prefixes within _SNAP_TOL of tight are snapped. The snapped profile
@@ -227,7 +230,7 @@ class _ProfileSearch:
         near = _prefix_rows(order, np.flatnonzero(gap[:-1] <= _SNAP_TOL))
         candidates = [p]
         if len(near):
-            snapped = self.local(p, np.vstack([equal, near]))
+            snapped = self.local(p, near)
             if self.feasible(snapped):
                 value = self.objective.value(p)
                 worse = self.objective.value(snapped) < value - 1e-12 * max(1.0, abs(value))
@@ -261,69 +264,52 @@ def _single_tier_equilibrium(w: np.ndarray, costs: CostModel) -> np.ndarray | No
     return profiles[0] if converged[0] else None
 
 
-def _starts(costs: CostModel, rng: np.random.Generator) -> list[np.ndarray | None]:
-    """Equilibria of single-tier contracts: equal weights, then random ones.
+def _starts(costs: CostModel, seed: int | None) -> Iterator[np.ndarray | None]:
+    """Equilibria of single-tier contracts: equal weights, then seeded random ones.
 
-    A start whose sweeps did not converge is None.
+    Each is computed when it is asked for, so a search that succeeds from the
+    equal-weights start draws nothing from the generator. A start whose
+    sweeps did not converge is None.
     """
     n = costs.n
-    weights = [np.ones(n)] + [np.exp(rng.normal(size=n)) for _ in range(_STARTS - 1)]
-    starts = [_single_tier_equilibrium(w, costs) for w in weights[: _STARTS if n > 1 else 1]]
-    return [None if p is None else np.clip(p, _EDGE, 1.0 - _EDGE) for p in starts]
-
-
-def _chain(partition: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """Masks of the unions B1, B1 u B2, ... of an ordered partition, short of the full set."""
-    partition = LuceSpec(partition, (1.0,) * n).partition  # raises unless it covers 0..n-1
-    masks = np.zeros((len(partition) - 1, n))
-    for k, block in enumerate(partition[:-1]):
-        masks[k:, list(block)] = 1.0
-    return masks
+    rng = np.random.default_rng(seed)
+    for k in range(_STARTS if n > 1 else 1):
+        w = np.ones(n) if k == 0 else np.exp(rng.normal(size=n))
+        p = _single_tier_equilibrium(w, costs)
+        yield None if p is None else np.clip(p, _EDGE, 1.0 - _EDGE)
 
 
 def optimize_principal(objective: Objective, costs: CostModel,
-                       seed: int | None = None,
-                       partitions: Sequence[tuple[tuple[int, ...], ...]] | None = None,
-                       ) -> Optimum:
+                       seed: int | None = 0) -> Optimum:
     """Maximize the objective over the profiles that Luce contracts implement.
 
-    Runs the cutting-plane search from each start (drawn with `seed`) and
-    ranks the results that pass the feasibility check. For the best one,
-    `synthesize_luce` recovers the contract, whose equilibrium residual it
-    holds to 1e-10; the returned equilibrium is the synthesized profile, and
-    `value` is the objective there. A start whose best-response sweeps do
-    not converge, and a result that cannot be synthesized, count as failed
-    starts; the next result is tried. No 2^n table is built, so any number
-    of agents is accepted.
+    Runs the cutting-plane search from the equilibrium of the equal-weights
+    single-tier contract. If that start fails, the next start is the
+    equilibrium of a single-tier contract with lognormal weights drawn with
+    `seed`, up to 8 starts in all; the first result that passes the
+    feasibility check and synthesizes is returned. `synthesize_luce`
+    recovers the contract, whose equilibrium residual it holds to 1e-10;
+    the returned equilibrium is the synthesized profile, and `value` is the
+    objective there. A start whose best-response sweeps do not converge, a
+    result outside the feasible set, and a result that cannot be
+    synthesized each count as a failed start. No 2^n table is built, so
+    any number of agents is accepted.
 
-    `partitions` limits the search to the given ordered partitions by
-    holding each one's unions B1, B1 u B2, ... tight; an optimum on the edge
-    of that family can come back as a finer partition. Raises NoConvergence
-    when no start yields a contract, and NotAdmissible unless c_i'(1) > 1
-    for every agent: a lone successful agent of a single-tier contract
-    gains the whole unit budget.
+    Raises NoConvergence when no start yields a contract, and NotAdmissible
+    unless c_i'(1) > 1 for every agent: a lone successful agent of a
+    single-tier contract gains the whole unit budget.
     """
-    n = costs.n
     c_one = costs.marginal_at_one()
     if np.any(c_one <= 1.0):
         i = int(np.argmin(c_one))
         raise NotAdmissible(f"agent {i}: c'(1) = {c_one[i]:.6g} does not exceed the unit budget; "
                             "small-budget admissibility violated")
-    _probe_increasing(objective, n)
+    _probe_increasing(objective, costs.n)
     search = _ProfileSearch(objective, costs)
-    chains = [np.zeros((0, n))] if partitions is None else [_chain(b, n) for b in partitions]
-    starts = _starts(costs, np.random.default_rng(seed))
     failed = 0
-    found = []
-    for equal in chains:
-        for p0 in starts:
-            p = None if p0 is None else search.solve(p0, equal)
-            if p is not None and search.feasible(p):
-                found.append((objective.value(p), p, equal))
-            else:
-                failed += 1
-    for _, p, equal in sorted(found, key=lambda t: -t[0]):
-        made = search.contract(p, equal)
+    for p0 in _starts(costs, seed):
+        p = None if p0 is None else search.solve(p0)
+        made = search.contract(p) if p is not None and search.feasible(p) else None
         if made is not None:
             spec, q = made
             return Optimum(spec, Profile(tuple(q)), objective.value(q), search.evals, failed,

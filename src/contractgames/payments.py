@@ -86,7 +86,7 @@ def payment_distribution(f: Contract, p: ProfileLike) -> PaymentDistribution:
 
 
 def implementing_fgn_samples(q: ProfileLike, costs: CostModel, count: int,
-                             seed: int | None = None,
+                             seed: int | None = 0,
                              scale: float | None = None) -> list[Contract]:
     """Random failures-get-nothing contracts that all implement q.
 

@@ -11,7 +11,9 @@ both with the library's secant step and with its former plain damped step,
 and marginal gains also come from the library's former table of share
 gains. The principal's problem is solved by the library's former search
 over contract weights: every ordered partition, a weight grid per
-partition, then Nelder-Mead. The subset inequality is checked on all
+partition, then Nelder-Mead; and by the profile search from all 8
+single-tier starts, ranked by value, as the optimizer once ran it. The
+subset inequality is checked on all
 2^n - 1 subsets, and on the sorted prefixes through 0/1 masks as the
 optimizer once did, and Luce weights come from the library's former damped
 multiplicative iteration on 2^n tables, and implementing FGN samples are drawn one agent at a time.
@@ -43,7 +45,13 @@ from contractgames.equilibrium import (
 from contractgames.errors import NoConvergence
 from contractgames.luce import derive_partition, required_budget
 from contractgames.maximal import TIGHT_TOL, ConditionReport
-from contractgames.optimize import lambda_thresholds, two_agent_equilibrium_derivatives
+from contractgames.optimize import (
+    _EDGE,
+    _ProfileSearch,
+    _single_tier_equilibrium,
+    lambda_thresholds,
+    two_agent_equilibrium_derivatives,
+)
 
 
 def all_outcomes(n):
@@ -372,6 +380,28 @@ def partition_search_optimum(objective, costs, solver, grid_resolution=12, resta
             minimize(score, x0, method="Nelder-Mead",
                      options={"initial_simplex": simplex, "xatol": 1e-8,
                               "fatol": 1e-12, "maxiter": 400 * dims})
+    return best
+
+
+def best_of_starts(objective, costs, seed, starts=8):
+    """Best feasible value of the profile search over several single-tier starts.
+
+    The starts are the equilibria of the equal-weights contract and of
+    `starts - 1` contracts with lognormal weights drawn with `seed`, in the
+    optimizer's draw order. Each runs `_ProfileSearch.solve`, all sharing
+    one search and its cuts; -inf when no result is feasible.
+    """
+    n = costs.n
+    rng = np.random.default_rng(seed)
+    search = _ProfileSearch(objective, costs)
+    best = -np.inf
+    for w in [np.ones(n)] + [np.exp(rng.normal(size=n)) for _ in range(starts - 1)]:
+        p0 = _single_tier_equilibrium(w, costs)
+        if p0 is None:
+            continue
+        p = search.solve(np.clip(p0, _EDGE, 1.0 - _EDGE))
+        if search.feasible(p):
+            best = max(best, objective.value(p))
     return best
 
 

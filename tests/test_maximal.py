@@ -254,6 +254,13 @@ def test_frontier_three_agents_small_grid():
         assert abs(pt.z - 1.0) <= 1e-8
 
 
+def test_frontier_default_seed_is_reproducible():
+    first = brute_force_frontier(QUAD22, 4, non_sge_samples=3)
+    second = brute_force_frontier(QUAD22, 4, non_sge_samples=3)
+    assert first.checks
+    assert first == second
+
+
 def test_frontier_rejects_large_n():
     with pytest.raises(ValueError):
         brute_force_frontier(CostModel.power([2, 2, 2, 2]), 3)

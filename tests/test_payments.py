@@ -151,6 +151,13 @@ def test_samples_match_per_agent_draws(n):
             assert np.max(np.abs(f.table - table)) <= 1e-14
 
 
+def test_default_seed_is_reproducible():
+    first = implementing_fgn_samples(Q44, QUAD22, 3)
+    second = implementing_fgn_samples(Q44, QUAD22, 3)
+    for f, g in zip(first, second, strict=True):
+        assert np.array_equal(f.table, g.table)
+
+
 def test_samples_reject_boundary_profile():
     with pytest.raises(DegenerateProfile):
         implementing_fgn_samples((0.4, 0.0), QUAD22, 1, seed=0)
